@@ -113,15 +113,6 @@ class Hook:
     def supports(self, alpha) -> bool:
         return leq(self.p, alpha) and not leq(self.q, alpha)
 
-    def support_mask(self, box) -> np.ndarray:
-        """Boolean support array of shape (box[0]+1, box[1]+1)."""
-        xs = np.arange(box[0] + 1).reshape(-1, 1)
-        ys = np.arange(box[1] + 1).reshape(1, -1)
-        alive = (xs >= self.p[0]) & (ys >= self.p[1])
-        if not self.is_free:
-            alive &= ~((xs >= self.q[0]) & (ys >= self.q[1]))
-        return alive
-
     def sort_key(self):
         return (self.p, self.q)
 
@@ -464,17 +455,15 @@ def frontier_is_stable(grid: GridModule) -> bool:
     return True
 
 
-def stable_grid(pres: Presentation, max_growth: int = 3):
-    """Grid on the classification box, re-checked for frontier stability.
+def stable_grid(pres: Presentation):
+    """Grid on the classification box, checked for frontier stability.
 
     The stability property is a theorem for presentations contained in the
-    bounding box; the runtime check is a safety net, and the box is grown
-    and the grid recomputed in the (never observed) case of a failure.
+    bounding box, so a failed runtime check is a bug and raises
+    InvariantViolation.
     """
     box = classification_box(pres)
-    for _ in range(max_growth + 1):
-        grid = to_grid(pres, box)
-        if frontier_is_stable(grid):
-            return grid, box
-        box = (box[0] + 1, box[1] + 1)
-    raise InvariantViolation(f"no stable frontier up to box {box}")
+    grid = to_grid(pres, box)
+    if not frontier_is_stable(grid):
+        raise InvariantViolation(f"frontier of the classification box {box} is not stable")
+    return grid, box

@@ -1,8 +1,8 @@
 """Direct-sum structure of grid modules.
 
 Contains the morphism machinery (hom spaces as natural-transformation
-kernels), hook recognition from support shape, the sound-and-complete hook
-decomposition search with verified certificates, and a deliberately
+kernels), hook recognition from support shape, the hook decomposition by
+greedy linear splitting with verified certificates, and a deliberately
 brute-force cross-validation oracle that splits along idempotent
 endomorphisms found by exhaustive enumeration.
 """
@@ -10,7 +10,6 @@ endomorphisms found by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .bigraded import (
     GridModule,
     Hook,
     Presentation,
+    leq,
     minimize,
     stable_grid,
     to_grid,
@@ -30,11 +30,8 @@ from .errors import InvariantViolation, ThresholdExceeded
 from .generators import hook_module
 from .linalg import (
     Matrix,
-    inverse_mod,
     kernel_basis,
     rank,
-    reduce_mod_rows,
-    row_space_echelon,
     rref,
     solve_matrix,
 )
@@ -93,12 +90,6 @@ class GridMorphism:
                 if m.rows != m.cols or rank(m) != m.rows:
                     return False
         return True
-
-    def scale(self, c: int) -> "GridMorphism":
-        p = self.source.p
-        return GridMorphism(
-            self.source, self.target, {pt: Matrix(p, (m.a * (c % p))) for pt, m in self.comps.items()}
-        )
 
     def __matmul__(self, other: "GridMorphism") -> "GridMorphism":
         if other.target.box != self.source.box or other.target.p != self.source.p:
@@ -265,57 +256,14 @@ def hook_grid(hook: Hook, p, box) -> GridModule:
     return to_grid(hook_module(hook, p), box)
 
 
-def _hook_pairings(gens, rels):
-    """All distinct hook multisets matching relation degrees to generator
-    degrees (p ≤ q, p ≠ q); unmatched generators become free hooks."""
-    gcount = Counter(gens)
-    degree_choices = sorted(gcount)
-    order = sorted(range(len(rels)), key=lambda j: (rels[j], j))
-    results = []
-    seen = set()
-    chosen = [None] * len(rels)
-
-    def emit():
-        hooks = []
-        for j, g in enumerate(chosen):
-            hooks.append(Hook(g, rels[order[j]]))
-        for g, c in gcount.items():
-            hooks.extend([Hook(g, (INF, INF))] * c)
-        hooks.sort(key=Hook.sort_key)
-        key = tuple((h.p, h.q) for h in hooks)
-        if key not in seen:
-            seen.add(key)
-            results.append(tuple(hooks))
-
-    def backtrack(idx):
-        if idx == len(order):
-            emit()
-            return
-        q = rels[order[idx]]
-        for g in degree_choices:
-            if gcount[g] > 0 and g != q and g[0] <= q[0] and g[1] <= q[1]:
-                gcount[g] -= 1
-                chosen[idx] = g
-                backtrack(idx + 1)
-                gcount[g] += 1
-
-    backtrack(0)
-    return results
-
-
-def _image_of_smaller(K: GridModule, pt):
-    """Echelon data spanning the image of strictly smaller degrees at pt."""
-    cols = []
-    a, b = pt
-    if a > 0:
-        cols.append(K.hmap(a - 1, b).a)
-    if b > 0:
-        cols.append(K.vmap(a, b - 1).a)
-    if cols:
-        u = np.hstack(cols)
-    else:
-        u = np.zeros((K.dim(a, b), 0), dtype=np.int64)
-    return row_space_echelon(Matrix(K.p, u.T))
+def _structure_map(K: GridModule, src, dst) -> Matrix:
+    """Matrix of the multiplication K(src) → K(dst), for src ≤ dst."""
+    m = Matrix.identity(K.p, K.dim(*src))
+    for a in range(src[0], dst[0]):
+        m = K.hmap(a, src[1]) @ m
+    for b in range(src[1], dst[1]):
+        m = K.vmap(dst[0], b) @ m
+    return m
 
 
 def _propagate(K: GridModule, start, v):
@@ -333,57 +281,22 @@ def _propagate(K: GridModule, start, v):
     return w
 
 
-def _cyclic_grid(K: GridModule, start, w) -> GridModule:
-    """The submodule generated by one vector, as an abstract grid module."""
-    bx, by = K.box
-    p = K.p
-    dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
-    for pt, vec in w.items():
-        dims[pt] = 1 if vec.any() else 0
-
-    def mat(src, dst):
-        alive_s = dims[src] == 1
-        alive_d = dims[dst] == 1
-        if alive_s and alive_d:
-            return Matrix(p, [[1]])
-        return Matrix.zeros(p, int(dims[dst]), int(dims[src]))
-
-    hmaps = [[mat((a, b), (a + 1, b)) for b in range(by + 1)] for a in range(bx)]
-    vmaps = [[mat((a, b), (a, b + 1)) for b in range(by)] for a in range(bx + 1)]
-    return GridModule(p, K.box, dims, hmaps, vmaps, check=False)
-
-
-def _find_retraction(K: GridModule, start, v, hook: Hook, hgrid: GridModule):
-    """Natural r: K → hook grid with r(v) the hook generator, or None.
-
-    A hook grid has one-dimensional endomorphisms, so r restricted to the
-    cyclic submodule of v is the identity exactly when its value on v at
-    the birth degree is 1; any hom-space element with a nonzero value there
-    can be rescaled into a retraction.
-    """
-    for t in hom_basis(K, hgrid):
-        alpha = int(t.at(*start).apply(v)[0])
-        if alpha:
-            return t.scale(inverse_mod(alpha, K.p))
-    return None
-
-
-def _kernel_complement(K: GridModule, r: GridMorphism):
-    """Kernel of a retraction as a grid module plus its inclusion columns."""
+def _kernel_complement(K: GridModule, t: GridMorphism):
+    """Kernel of a morphism out of K as a grid module plus its inclusion columns."""
     p = K.p
     bx, by = K.box
     basis = {}
     dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
     for a in range(bx + 1):
         for b in range(by + 1):
-            cols = kernel_basis(r.at(a, b))
+            cols = kernel_basis(t.at(a, b))
             basis[(a, b)] = Matrix.from_columns(p, cols, K.dim(a, b))
             dims[a, b] = len(cols)
 
     def induced(src, dst, m):
         x = solve_matrix(basis[dst], m @ basis[src])
         if x is None:
-            raise InvariantViolation("retraction kernel is not a submodule")
+            raise InvariantViolation("morphism kernel is not a submodule")
         return x
 
     hmaps = [[induced((a, b), (a + 1, b), K.hmap(a, b)) for b in range(by + 1)] for a in range(bx)]
@@ -391,55 +304,33 @@ def _kernel_complement(K: GridModule, r: GridMorphism):
     return GridModule(p, K.box, dims, hmaps, vmaps, check=False), basis
 
 
-def _peel(K: GridModule, incl, remaining, box):
-    """Backtracking peel: split one hook with lexicographically least birth.
+def _split_hook(K: GridModule, birth, deaths):
+    """A hook [birth, q) that is a direct summand of K, or None.
 
-    `incl` maps K into the ambient module; returns a list of
-    (hook, column dict into the ambient module) or None.
+    `birth` must be a minimal degree of K.  For v in ker(K(birth) → K(q))
+    (all of K(birth) when q = ∞) the hook maps onto the submodule ⟨v⟩; a
+    morphism t: K → hook with t_birth(v) ≠ 0 composes with that map to a
+    nonzero scalar, as hooks have one-dimensional endomorphisms, so
+    K = ⟨v⟩ ⊕ ker t.  Both conditions are linear: it suffices to pair a
+    kernel basis with a hom-space basis.  Returns (hook, v, t).
     """
-    if not remaining:
-        return [] if K.is_zero else None
     p = K.p
-    birth = min(h.p for h in remaining)
-    cands = []
-    for h in remaining:
-        if h.p == birth and h not in cands:
-            cands.append(h)
-    cands.sort(key=Hook.sort_key)
-    dim_here = K.dim(*birth)
-    if dim_here == 0:
-        return None
-    ech, piv = _image_of_smaller(K, birth)
-    masks = {h: h.support_mask(K.box) for h in cands}
-    for tup in itertools.product(range(p), repeat=dim_here):
-        v = np.asarray(tup, dtype=np.int64)
-        if not reduce_mod_rows(v.copy(), ech, piv, p).any():
-            continue  # inside the image of strictly smaller degrees
-        w = _propagate(K, birth, v)
-        supp = np.zeros((K.box[0] + 1, K.box[1] + 1), dtype=bool)
-        for pt, vec in w.items():
-            supp[pt] = bool(vec.any())
-        for h in cands:
-            if not np.array_equal(supp, masks[h]):
-                continue
-            if hook_profile(_cyclic_grid(K, birth, w)) != h:
-                continue
-            hgrid = hook_grid(h, p, K.box)
-            r = _find_retraction(K, birth, v, h, hgrid)
-            if r is None:
-                continue
-            K2, basis = _kernel_complement(K, r)
-            incl2 = {pt: incl[pt] @ basis[pt] for pt in incl}
-            rest = remaining.copy()
-            rest.remove(h)
-            tail = _peel(K2, incl2, rest, box)
-            if tail is not None:
-                columns = {
-                    pt: (incl[pt].a @ vec.reshape(-1, 1)) % p
-                    for pt, vec in w.items()
-                    if vec.any()
-                }
-                return [(h, columns)] + tail
+    for q in [q for q in deaths if leq(birth, q) and q != birth] + [(INF, INF)]:
+        hook = Hook(birth, q)
+        if hook.is_free:
+            vs = list(np.eye(K.dim(*birth), dtype=np.int64))
+        else:
+            vs = kernel_basis(_structure_map(K, birth, q))
+        if not vs:
+            continue
+        ts = hom_basis(K, hook_grid(hook, p, K.box))
+        if not ts:
+            continue
+        pairing = (np.vstack([t.at(*birth).a for t in ts]) @ np.column_stack(vs)) % p
+        hits = np.argwhere(pairing)
+        if hits.size:
+            j, i = hits[0]
+            return hook, vs[i], ts[j]
     return None
 
 
@@ -465,40 +356,49 @@ def _assemble_certificate(mgrid: GridModule, peeled, box) -> HookCertificate:
 def hook_decompose(pres: Presentation):
     """Decide hook-decomposability; return a verified certificate or None.
 
-    The search is a decision procedure: sound because every returned
-    embedding is machine-checked to be a natural degreewise isomorphism,
-    and complete because it backtracks over all pairings of relation
-    degrees with generator degrees and over all candidate generating
-    vectors at each peel.  A nonzero second syzygy module rules the answer
-    out before any search (a hook sum has projective dimension ≤ 1), and a
-    pairing is explored only if its summed hook Hilbert function matches
-    the module pointwise.
+    A nonzero second syzygy module rules the answer out at once (a hook sum
+    has projective dimension ≤ 1).  Otherwise hooks are peeled greedily:
+    each round takes the lexicographically least degree `birth` where the
+    remaining module K is nonzero, which is a minimal degree of K, and
+    tries as deaths q the relation degrees of the minimal presentation
+    above `birth`, then ∞, splitting off the first hook [birth, q) that
+    passes the linear criterion of `_split_hook`.  Every hook summand of a
+    hook sum dies at such a relation degree, and by Krull-Schmidt the
+    complement of any split-off summand of a hook sum is again a hook sum,
+    so a round that splits nothing proves M is not hook-decomposable and
+    no backtracking is needed.  The returned embedding is re-verified to
+    be a natural degreewise isomorphism.
     """
     pres = validate(pres)
     mpres = minimize(pres)
     grid, box = stable_grid(mpres)
     p = mpres.p
-    if grid.is_zero:
-        empty = GridMorphism(zero_grid(p, box), grid, {})
-        return HookCertificate((), empty)
     if syzygy_presentation(mpres).n_rels:
         return None
-    dims = grid.dims
-    identity = {
+    deaths = sorted(set(mpres.rels))
+    K = grid
+    incl = {
         (a, b): Matrix.identity(p, grid.dim(a, b))
         for a in range(box[0] + 1)
         for b in range(box[1] + 1)
     }
-    for hooks in _hook_pairings(mpres.gens, mpres.rels):
-        expected = np.zeros_like(dims)
-        for h in hooks:
-            expected += h.support_mask(box)
-        if not np.array_equal(expected, dims):
-            continue
-        peeled = _peel(grid, identity, list(hooks), box)
-        if peeled is not None:
-            return _assemble_certificate(grid, peeled, box)
-    return None
+    peeled = []
+    while not K.is_zero:
+        xs, ys = np.nonzero(K.dims)
+        birth = (int(xs[0]), int(ys[0]))
+        split = _split_hook(K, birth, deaths)
+        if split is None:
+            return None
+        hook, v, t = split
+        columns = {
+            pt: (incl[pt].a @ vec.reshape(-1, 1)) % p
+            for pt, vec in _propagate(K, birth, v).items()
+            if vec.any()
+        }
+        peeled.append((hook, columns))
+        K, basis = _kernel_complement(K, t)
+        incl = {pt: incl[pt] @ basis[pt] for pt in incl}
+    return _assemble_certificate(grid, peeled, box)
 
 
 def _image_subgrid(M: GridModule, e: GridMorphism):

@@ -33,9 +33,15 @@ class BpmSyntaxError(BipersError):
     """Malformed module file; carries 1-based line and column positions."""
 
     def __init__(self, message, line, column=1):
-        super().__init__(f"line {line}, column {column}: {message}")
+        # All constructor arguments go to `args`, so pickling (e.g. across
+        # corpus worker processes) rebuilds the error with its position.
+        super().__init__(message, line, column)
+        self.message = message
         self.line = line
         self.column = column
+
+    def __str__(self):
+        return f"line {self.line}, column {self.column}: {self.message}"
 
 
 class UnknownGenerator(BpmSyntaxError):

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import NonPrimeModulus
 
+# Fields are capped at 16-bit primes: residues stay below 2**16, so every
+# product and every int64 dot product of up to 2**31 terms is exact.
+MAX_MODULUS = 1 << 16
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -30,10 +34,13 @@ def is_prime(n: int) -> bool:
 
 
 def check_modulus(p) -> int:
-    """Return ``p`` as an int, raising NonPrimeModulus unless it is prime."""
+    """Return ``p`` as an int, raising NonPrimeModulus unless it is a prime
+    below ``MAX_MODULUS``."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise NonPrimeModulus(f"field modulus must be an integer, got {p!r}")
     p = int(p)
+    if p >= MAX_MODULUS:
+        raise NonPrimeModulus(f"field modulus must be below 2**16 = {MAX_MODULUS}, got {p}")
     if not is_prime(p):
         raise NonPrimeModulus(f"field modulus must be prime, got {p}")
     return p

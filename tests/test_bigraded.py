@@ -15,7 +15,7 @@ from bipers.bigraded import (
     to_grid,
     validate,
 )
-from bipers.errors import BoxTooSmall, IllegalEntry, NonPrimeModulus
+from bipers.errors import BoxTooSmall, IllegalEntry, InvariantViolation, NonPrimeModulus
 from bipers.generators import RandomSpec, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
 
@@ -194,6 +194,12 @@ def test_frontier_stability(seed):
     grid = to_grid(pres, classification_box(pres))
     assert frontier_is_stable(grid)
 
+
+
+def test_unstable_frontier_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr("bipers.bigraded.frontier_is_stable", lambda grid: False)
+    with pytest.raises(InvariantViolation):
+        stable_grid(gallery("hook-not-free"))
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grid_squares_commute(seed):

@@ -203,6 +203,14 @@ def test_corpus_parallel_matches_serial(tmp_path, capsys):
     assert strip_timings(serial) == strip_timings(parallel)
 
 
+def test_corpus_parallel_bad_input_exit_code(tmp_path, capsys):
+    # The syntax error crosses the worker process boundary by pickling.
+    bad = tmp_path / "bad.bpm"
+    bad.write_text("gen g 0 0\nrel r 1 1 : g\n")
+    assert main(["corpus", str(bad), "gallery:zero", "--jobs", "2"]) == 2
+    assert "line 2, column" in capsys.readouterr().err
+
+
 def test_plot_output(capsys):
     assert main(["plot", "gallery:hook-not-free"]) == 0
     out = capsys.readouterr().out
@@ -247,3 +255,10 @@ def test_field_env_override(tmp_path, capsys, monkeypatch):
     assert report["field"] == 3
     monkeypatch.setenv("BIPERS_FIELD", "4")
     assert main(["classify", str(path)]) == 2
+
+
+def test_oversized_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.bpm"
+    path.write_text("field 4294967311\ngen g 0 0\nrel r 1 1 : 1*g\n")
+    assert main(["classify", str(path)]) == 2
+    assert "2**16" in capsys.readouterr().err

@@ -169,6 +169,25 @@ def test_certificate_hilbert_conservation(seed):
             assert total == hilbert_function(pres, (a, b))
 
 
+
+def test_pd1_not_hook_rejected_over_large_field():
+    pres = Presentation(65521, [(0, 1), (1, 0)], [(1, 1)], [[1], [65520]])
+    assert hook_decompose(pres) is None
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [(RandomSpec("hook_sum_scrambled", max_hooks=5, max_degree=8, seed=900 + k), 65521) for k in range(3)]
+    + [(RandomSpec("hook_sum_scrambled", max_hooks=12, max_degree=16, seed=3), 2)],
+)
+def test_hook_sums_beyond_exhaustive_search(spec, p):
+    pres = random_module(spec, p=p)
+    cert = hook_decompose(pres)
+    assert cert is not None
+    assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(random_hook_summands(spec))
+    assert verify_certificate(pres, cert)
+
+
 # ------------------------------------------------------------------- oracle
 
 

@@ -35,6 +35,9 @@ def test_modulus_must_be_prime():
     with pytest.raises(NonPrimeModulus):
         Matrix(1, [[0]])
     Matrix(65521, [[65520]])  # largest 16-bit prime is fine
+    for prime in (65537, 4294967311):  # primes beyond the 16-bit cap
+        with pytest.raises(NonPrimeModulus, match="2\\*\\*16"):
+            Matrix(prime, [[1]])
 
 
 def test_rref_identity():
