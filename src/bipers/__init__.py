@@ -37,6 +37,7 @@ from .decomposition import (
     hook_decompose,
     hook_grid,
     hook_profile,
+    peel_hooks,
 )
 from .errors import (
     BipersError,
@@ -65,6 +66,7 @@ from .resolution import (
     BettiTable,
     Resolution,
     betti_table,
+    grid_betti,
     hilbert_from_betti,
     minimal_free_resolution,
     projective_dimension,

@@ -37,10 +37,6 @@ def leq(a, b) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def is_finite_degree(d) -> bool:
-    return d[0] != INF and d[1] != INF
-
-
 def join(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
 
@@ -372,9 +368,6 @@ class GridModule:
     @property
     def is_zero(self) -> bool:
         return not self.dims.any()
-
-    def total_dim(self) -> int:
-        return int(self.dims.sum())
 
 
 def zero_grid(p, box) -> GridModule:

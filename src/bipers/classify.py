@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 from .bigraded import INF, Hook, Presentation, classification_box, minimize, stable_grid, validate
-from .decomposition import GridMorphism, HookCertificate, grid_direct_sum, hook_decompose, hook_grid
-from .resolution import BettiTable, betti_table
+from .decomposition import GridMorphism, HookCertificate, grid_direct_sum, hook_grid, peel_hooks
+from .resolution import BettiTable, grid_betti
 
 
 @dataclass
@@ -38,29 +38,33 @@ class ClassificationReport:
 
 
 def classify(pres: Presentation) -> ClassificationReport:
-    """Full classification with certificate; deterministic up to timings."""
-    pres = validate(pres)
-    timings = {}
-    t0 = time.perf_counter()
+    """Full classification with certificate; deterministic up to timings.
 
-    t = time.perf_counter()
+    One pass over the module: minimize once, evaluate the stable grid of the
+    minimal presentation once, read the Betti table (hence pd and the β2
+    gate) from that grid, and peel hooks on the same grid.  A nonzero β2
+    rules out a hook decomposition without peeling.
+    """
+    timings = {}
+    t0 = t = time.perf_counter()
     mpres = minimize(pres)
     timings["minimize"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    bt = betti_table(pres)
+    grid, _ = stable_grid(mpres)
+    bt = grid_betti(grid)
     timings["betti"] = time.perf_counter() - t
 
     free = mpres.n_rels == 0
     pd = 0 if free else (1 if bt.total(2) == 0 else 2)
 
     t = time.perf_counter()
-    cert = hook_decompose(pres)
+    cert = None if bt.beta2 else peel_hooks(grid, mpres.rels)
     timings["decompose"] = time.perf_counter() - t
     hook = cert is not None
 
     timings["total"] = time.perf_counter() - t0
-    report = ClassificationReport(
+    return ClassificationReport(
         free=free,
         hook_decomposable=hook,
         structure_theorem=hook,
@@ -72,7 +76,6 @@ def classify(pres: Presentation) -> ClassificationReport:
         box=classification_box(pres),
         timings=timings,
     )
-    return report
 
 
 def check_implications(report: ClassificationReport) -> bool:

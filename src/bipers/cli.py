@@ -10,9 +10,9 @@ Coefficients are integers reduced mod p; the monomial factor of each term
 is implicit from the degree difference.  A relation with no terms is
 written `rel <name> <qx> <qy> : 0`.
 
-Exit codes: 0 success; 1 a corpus run saw an implication-check failure
-(must never happen); 2 input or I/O problem; 3 internal invariant
-violation.
+Exit codes: 0 success; 1 a corpus run saw an implication-check or
+invariant failure (must never happen); 2 input or I/O problem (a corpus
+run reports it per input and goes on); 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -46,13 +46,18 @@ _GEN_LINE = re.compile(r"^gen\s+(?P<name>\S+)\s+(?P<x>\S+)\s+(?P<y>\S+)\s*$")
 _REL_LINE = re.compile(r"^rel\s+(?P<name>\S+)\s+(?P<x>\S+)\s+(?P<y>\S+)\s*:(?P<terms>.*)$")
 _FIELD_LINE = re.compile(r"^field\s+(?P<p>\S+)\s*$")
 _NAME = re.compile(r"^[A-Za-z_]\w*$")
-_TERM = re.compile(r"^(?P<c>[+-]?\d+)\*(?P<g>[A-Za-z_]\w*)$")
+_TERM = re.compile(r"^(?P<c>[+-]?[0-9]+)\*(?P<g>[A-Za-z_]\w*)$")
+_INT64_MAX = (1 << 63) - 1
 
 
 def _parse_nat(token, lineno, what):
-    if not token.isdigit():
+    """A nonnegative ASCII decimal integer that fits in int64."""
+    if not (token.isascii() and token.isdigit()):
         raise BpmSyntaxError(f"{what} must be a nonnegative integer, got {token!r}", lineno)
-    return int(token)
+    digits = token.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) > _INT64_MAX:
+        raise BpmSyntaxError(f"{what} {token} does not fit in 64 bits", lineno)
+    return int(digits)
 
 
 def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presentation:
@@ -76,11 +81,8 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
                 raise BpmSyntaxError("duplicate field declaration", lineno)
             if gens or rel_rows:
                 raise BpmSyntaxError("field must be declared before gens and rels", lineno)
-            token = m.group("p")
-            if not token.isdigit():
-                raise BpmSyntaxError(f"field modulus must be an integer, got {token!r}", lineno)
             try:
-                p = check_modulus(int(token))
+                p = check_modulus(_parse_nat(m.group("p"), lineno, "field modulus"))
             except NonPrimeModulus as exc:
                 raise NonPrimeModulus(f"line {lineno}: {exc}") from None
             continue
@@ -118,8 +120,12 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
                     gname = t.group("g")
                     if gname not in gen_names:
                         raise UnknownGenerator(f"unknown generator {gname!r}", lineno, col_here)
+                    try:
+                        c = int(t.group("c"))
+                    except ValueError:  # beyond Python's int-from-str digit limit
+                        raise BpmSyntaxError("coefficient too long", lineno, col_here) from None
                     gi = gen_names[gname]
-                    row[gi] = row.get(gi, 0) + int(t.group("c"))
+                    row[gi] = row.get(gi, 0) + c
             rel_rows.append(((x, y), row, lineno))
             continue
         raise BpmSyntaxError(f"unrecognized declaration {line!r}", lineno)
@@ -230,12 +236,15 @@ def _classify_source(source: str, default_field: int) -> dict:
 
 
 def _corpus_worker(args):
+    """(source, exit status, report line or error message) for one input."""
     source, default_field = args
     try:
         out = _classify_source(source, default_field)
-        return source, True, json.dumps(out, sort_keys=True, separators=(",", ":"))
+        return source, 0, json.dumps(out, sort_keys=True, separators=(",", ":"))
     except InvariantViolation as exc:
-        return source, False, json.dumps({"input": source, "error": str(exc)}, sort_keys=True)
+        return source, 1, str(exc)
+    except (BipersError, OSError) as exc:
+        return source, 2, str(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,11 +332,13 @@ def run_command(args, out=None) -> int:
                 results = list(pool.map(_corpus_worker, work))
         else:
             results = [_corpus_worker(w) for w in work]
-        failed = False
-        for _, ok, line in results:  # merge in input order
+        for source, status, line in results:  # merge in input order
+            if status:
+                print(f"{PROG}: error: {source}: {line}", file=sys.stderr)
+                line = json.dumps({"input": source, "error": line}, sort_keys=True)
             print(line, file=out)
-            failed = failed or not ok
-        return 1 if failed else 0
+        # An implication or invariant failure (1) outranks a bad input (2).
+        return min((status for _, status, _ in results if status), default=0)
 
     field = _default_field(args)
     pres = load_presentation(args.input, field)

@@ -23,7 +23,6 @@ from .bigraded import (
     minimize,
     stable_grid,
     to_grid,
-    validate,
     zero_grid,
 )
 from .errors import InvariantViolation, ThresholdExceeded
@@ -35,7 +34,7 @@ from .linalg import (
     rref,
     solve_matrix,
 )
-from .resolution import syzygy_presentation
+from .resolution import grid_betti
 
 DEFAULT_ENDO_THRESHOLD = 16
 
@@ -90,13 +89,6 @@ class GridMorphism:
                 if m.rows != m.cols or rank(m) != m.rows:
                     return False
         return True
-
-    def __matmul__(self, other: "GridMorphism") -> "GridMorphism":
-        if other.target.box != self.source.box or other.target.p != self.source.p:
-            raise ValueError("morphisms do not compose")
-        return GridMorphism(
-            other.source, self.target, {pt: self.comps[pt] @ other.comps[pt] for pt in self.comps}
-        )
 
     @classmethod
     def identity(cls, grid: GridModule) -> "GridMorphism":
@@ -334,8 +326,8 @@ def _split_hook(K: GridModule, birth, deaths):
     return None
 
 
-def _assemble_certificate(mgrid: GridModule, peeled, box) -> HookCertificate:
-    p = mgrid.p
+def _assemble_certificate(mgrid: GridModule, peeled) -> HookCertificate:
+    p, box = mgrid.p, mgrid.box
     pairs = sorted(peeled, key=lambda hc: hc[0].sort_key())
     hooks = tuple(h for h, _ in pairs)
     source = grid_direct_sum([hook_grid(h, p, box) for h in hooks], p, box)
@@ -353,29 +345,23 @@ def _assemble_certificate(mgrid: GridModule, peeled, box) -> HookCertificate:
     return HookCertificate(hooks, embedding)
 
 
-def hook_decompose(pres: Presentation):
-    """Decide hook-decomposability; return a verified certificate or None.
+def peel_hooks(grid: GridModule, deaths):
+    """Split a grid module into hooks; return a verified certificate or None.
 
-    A nonzero second syzygy module rules the answer out at once (a hook sum
-    has projective dimension ≤ 1).  Otherwise hooks are peeled greedily:
-    each round takes the lexicographically least degree `birth` where the
-    remaining module K is nonzero, which is a minimal degree of K, and
-    tries as deaths q the relation degrees of the minimal presentation
-    above `birth`, then ∞, splitting off the first hook [birth, q) that
-    passes the linear criterion of `_split_hook`.  Every hook summand of a
-    hook sum dies at such a relation degree, and by Krull-Schmidt the
-    complement of any split-off summand of a hook sum is again a hook sum,
-    so a round that splits nothing proves M is not hook-decomposable and
-    no backtracking is needed.  The returned embedding is re-verified to
-    be a natural degreewise isomorphism.
+    `grid` must be the stable grid of a minimal presentation and `deaths`
+    its relation degrees.  Hooks are peeled greedily: each round takes the
+    lexicographically least degree `birth` where the remaining module K is
+    nonzero, which is a minimal degree of K, and tries as deaths q the
+    relation degrees above `birth`, then ∞, splitting off the first hook
+    [birth, q) that passes the linear criterion of `_split_hook`.  Every
+    hook summand of a hook sum dies at such a relation degree, and by
+    Krull-Schmidt the complement of any split-off summand of a hook sum is
+    again a hook sum, so a round that splits nothing proves the module is
+    not hook-decomposable and no backtracking is needed.  The returned
+    embedding is re-verified to be a natural degreewise isomorphism.
     """
-    pres = validate(pres)
-    mpres = minimize(pres)
-    grid, box = stable_grid(mpres)
-    p = mpres.p
-    if syzygy_presentation(mpres).n_rels:
-        return None
-    deaths = sorted(set(mpres.rels))
+    p, box = grid.p, grid.box
+    deaths = sorted(set(deaths))
     K = grid
     incl = {
         (a, b): Matrix.identity(p, grid.dim(a, b))
@@ -398,7 +384,21 @@ def hook_decompose(pres: Presentation):
         peeled.append((hook, columns))
         K, basis = _kernel_complement(K, t)
         incl = {pt: incl[pt] @ basis[pt] for pt in incl}
-    return _assemble_certificate(grid, peeled, box)
+    return _assemble_certificate(grid, peeled)
+
+
+def hook_decompose(pres: Presentation):
+    """Decide hook-decomposability; return a verified certificate or None.
+
+    Minimizes, evaluates the stable grid, and rules out a nonzero β2 from
+    the Koszul Betti table of that grid at once (a hook sum has projective
+    dimension ≤ 1); otherwise `peel_hooks` decides on the same grid.
+    """
+    mpres = minimize(pres)
+    grid, _ = stable_grid(mpres)
+    if grid_betti(grid).beta2:
+        return None
+    return peel_hooks(grid, mpres.rels)
 
 
 def _image_subgrid(M: GridModule, e: GridMorphism):

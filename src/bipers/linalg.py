@@ -108,16 +108,6 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         return Matrix(self.p, (self.a @ other.a) % self.p)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.p != other.p or self.shape != other.shape:
-            raise ValueError("incompatible matrices")
-        return Matrix(self.p, self.a + other.a)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.p != other.p or self.shape != other.shape:
-            raise ValueError("incompatible matrices")
-        return Matrix(self.p, self.a - other.a)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -145,12 +135,6 @@ class Matrix:
             a = a[:, np.asarray(col_idx, dtype=np.intp)]
         return Matrix(self.p, a)
 
-    def column(self, j) -> np.ndarray:
-        return self.a[:, j].copy()
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.p, self.a.T)
-
     @staticmethod
     def hstack(mats) -> "Matrix":
         mats = list(mats)
@@ -158,14 +142,6 @@ class Matrix:
             raise ValueError("hstack of no matrices")
         p = mats[0].p
         return Matrix(p, np.hstack([m.a for m in mats]))
-
-    @staticmethod
-    def vstack(mats) -> "Matrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of no matrices")
-        p = mats[0].p
-        return Matrix(p, np.vstack([m.a for m in mats]))
 
 
 Rref = namedtuple("Rref", ["reduced", "pivots", "rank"])

@@ -1,7 +1,11 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+import bipers.bigraded
+import bipers.resolution
 from bipers.bigraded import Presentation
 from bipers.classify import (
     ClassificationReport,
@@ -70,6 +74,55 @@ def test_smith_diagonal_presentation():
     assert diag.gens == ((0, 1), (1, 0))
     assert diag.rels == ((1, 1),)
     assert diag.coeffs.a.tolist() == [[1], [0]]
+
+
+# ------------------------------------------------------------ one pass
+
+# The staircase x²·g = xy·g = y²·g = 0 padded with a redundant relation at
+# (2, 2) and a generator h at (1, 2) cancelled by the unit relation h + g.
+PADDED_STAIRCASE = Presentation(
+    2,
+    [(0, 0), (1, 2)],
+    [(0, 2), (1, 1), (2, 0), (2, 2), (1, 2)],
+    [[1, 1, 1, 1, 1], [0, 0, 0, 0, 1]],
+)
+
+
+@pytest.mark.parametrize(
+    "pres, pd",
+    [(PADDED_STAIRCASE, 2), (gallery("koszul-point"), 2), (gallery("remark2-hilbert-twin"), 1)],
+    ids=["padded-staircase", "koszul-point", "remark2-hilbert-twin"],
+)
+def test_classify_runs_one_pass(pres, pd, monkeypatch):
+    originals = {
+        "minimize": bipers.bigraded.minimize,
+        "stable_grid": bipers.bigraded.stable_grid,
+        "syzygy_presentation": bipers.resolution.syzygy_presentation,
+    }
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # Wrap every binding of the three functions in every bipers module.
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "bipers" or mod_name.startswith("bipers."):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+    report = classify(pres)
+    assert report.projective_dimension == pd
+    assert report.hook_decomposable == (pd == 1)
+    assert calls == Counter(minimize=1, stable_grid=1)
+
+
+def test_padded_staircase_betti_table():
+    bt = classify(PADDED_STAIRCASE).betti
+    assert bt == BettiTable(((0, 0),), ((0, 2), (1, 1), (2, 0)), ((1, 2), (2, 1)))
 
 
 # ----------------------------------------------------------- implications

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bipers.cli
 from bipers.bigraded import Presentation
 from bipers.cli import (
     ascii_support_plot,
@@ -10,6 +13,7 @@ from bipers.cli import (
     presentation_to_bpm,
 )
 from bipers.errors import (
+    BipersError,
     BpmSyntaxError,
     IllegalEntry,
     NonPrimeModulus,
@@ -73,6 +77,43 @@ def test_parse_errors():
         parse_module_file("gen g 2 0\nrel r 1 1 : 1*g\n")
     with pytest.raises(BpmSyntaxError):
         parse_module_file("gen g 0 0\nfield 2\n")
+
+
+def test_parse_rejects_non_ascii_digits():
+    for text in ("gen g ² 0\n", "gen g ٣ 0\n", "field ٣\n", "gen g 0 0\nrel r 1 1 : ٣*g\n"):
+        with pytest.raises(BpmSyntaxError):
+            parse_module_file(text)
+
+
+def test_parse_rejects_degrees_beyond_int64():
+    with pytest.raises(BpmSyntaxError, match="64 bits") as err:
+        parse_module_file("gen g 0 0\ngen h 99999999999999999999 0\nrel r 1 1 : 1*g\n")
+    assert err.value.line == 2
+    big = str((1 << 63) - 1)
+    assert parse_module_file(f"gen g {big} 0\n").gens == ((int(big), 0),)
+    assert parse_module_file("gen g 000000000000000000000000007 0\n").gens == ((7, 0),)
+
+
+def test_parse_rejects_coefficients_beyond_the_digit_limit():
+    with pytest.raises(BpmSyntaxError):
+        parse_module_file("gen g 0 0\nrel r 1 1 : " + "9" * 5000 + "*g\n")
+
+
+_TOKENS = st.sampled_from(
+    ["gen", "rel", "field", "g", "h", ":", "+", "*", "#", "0", "1", "3", "4", "1*g", "-2*h", "²",
+     "٣", "99999999999999999999", "9" * 5000]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=5).map("\n".join)))
+@example("gen g ² 0\n")
+@example("gen g 99999999999999999999 0\nrel r 1 1 : 0\n")
+def test_parser_raises_only_library_errors(text):
+    try:
+        parse_module_file(text)
+    except BipersError:
+        pass
 
 
 def test_duplicate_field_rejected():
@@ -209,6 +250,32 @@ def test_corpus_parallel_bad_input_exit_code(tmp_path, capsys):
     bad.write_text("gen g 0 0\nrel r 1 1 : g\n")
     assert main(["corpus", str(bad), "gallery:zero", "--jobs", "2"]) == 2
     assert "line 2, column" in capsys.readouterr().err
+
+
+def test_corpus_bad_input_gets_an_error_line_and_the_rest_still_runs(tmp_path, capsys):
+    bad = tmp_path / "bad.bpm"
+    bad.write_text("gen g 0 0\nrel r 1 1 : g\n")
+    missing = str(tmp_path / "missing.bpm")
+    inputs = ["gallery:zero", str(bad), "gallery:free-point", missing]
+    assert main(["corpus", *inputs]) == 2
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert [line["input"] for line in lines] == inputs
+    assert [("error" in line) for line in lines] == [False, True, False, True]
+    assert lines[2]["free"] is True
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"bipers: error: {bad}: line 2, column")
+    assert err[1].startswith(f"bipers: error: {missing}: ")
+
+
+def test_corpus_implication_failure_outranks_a_bad_input(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.bpm"
+    bad.write_text("gen g x 0\n")
+    monkeypatch.setattr(bipers.cli, "check_implications", lambda report: False)
+    assert main(["corpus", str(bad), "gallery:zero"]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines[1] == {"input": "gallery:zero", "error": "implication check failed for gallery:zero"}
 
 
 def test_plot_output(capsys):

@@ -3,12 +3,23 @@ import math
 
 import pytest
 
-from bipers.bigraded import Hook, Presentation, classification_box, hilbert_function, leq, minimize
+from bipers.bigraded import (
+    Hook,
+    Presentation,
+    classification_box,
+    hilbert_function,
+    leq,
+    minimize,
+    stable_grid,
+    to_grid,
+)
+from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
 from bipers.resolution import (
     Resolution,
     betti_table,
+    grid_betti,
     hilbert_from_betti,
     minimal_free_resolution,
     projective_dimension,
@@ -200,6 +211,19 @@ def test_betti_paths_agree(seed):
     assert bt.beta0 == tuple(sorted(m.gens))
     assert bt.beta1 == tuple(sorted(m.rels))
     assert bt.beta2 == tuple(sorted(syzygy_presentation(m).rels))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_betti_of_the_minimized_grid_matches_the_input_route(seed):
+    # classify reads the table off the minimal presentation's smaller grid.
+    pres = random_module(RandomSpec("arbitrary", seed=700 + seed))
+    assert grid_betti(stable_grid(minimize(pres))[0]) == betti_table(pres)
+
+
+def test_grid_betti_rejects_a_contribution_on_the_frontier():
+    pres = gallery("hook-not-free")  # β1 at (1, 1), the corner of this box
+    with pytest.raises(InvariantViolation, match="frontier"):
+        grid_betti(to_grid(pres, (1, 1)))
 
 
 @pytest.mark.parametrize("seed", range(30))
