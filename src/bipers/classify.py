@@ -41,9 +41,9 @@ def classify(pres: Presentation) -> ClassificationReport:
     """Full classification with certificate; deterministic up to timings.
 
     One pass over the module: minimize once, evaluate the stable grid of the
-    minimal presentation once, read the Betti table (hence pd and the β2
-    gate) from that grid, and peel hooks on the same grid.  A nonzero β2
-    rules out a hook decomposition without peeling.
+    minimal presentation once, read the Betti table (hence pd) from that
+    grid, and let `peel_hooks` decide hook-decomposability on the same grid
+    and table.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -59,7 +59,7 @@ def classify(pres: Presentation) -> ClassificationReport:
     pd = 0 if free else (1 if bt.total(2) == 0 else 2)
 
     t = time.perf_counter()
-    cert = None if bt.beta2 else peel_hooks(grid, mpres.rels)
+    cert = peel_hooks(grid, bt)
     timings["decompose"] = time.perf_counter() - t
     hook = cert is not None
 

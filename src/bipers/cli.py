@@ -28,7 +28,7 @@ import numpy as np
 
 from .bigraded import DEFAULT_FIELD, INF, Presentation, stable_grid, to_grid, validate
 from .classify import check_implications, classify, report_to_dict, report_to_json
-from .decomposition import decompose_oracle, hook_decompose
+from .decomposition import DEFAULT_ENDO_THRESHOLD, decompose_oracle, hook_decompose
 from .errors import (
     BipersError,
     BpmSyntaxError,
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="hook decomposition certificate, if any")
     add_input(sp)
     sp.add_argument("--oracle", action="store_true", help="also run the idempotent-splitting oracle")
-    sp.add_argument("--threshold", type=int, default=16, help="endomorphism dimension cap for --oracle")
+    sp.add_argument("--threshold", type=int, default=DEFAULT_ENDO_THRESHOLD, help="endomorphism dimension cap for --oracle")
 
     sp = sub.add_parser("gallery", help="list gallery modules or print one as .bpm")
     sp.add_argument("name", nargs="?", help="gallery module name")

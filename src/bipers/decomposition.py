@@ -2,14 +2,16 @@
 
 Contains the morphism machinery (hom spaces as natural-transformation
 kernels), hook recognition from support shape, the hook decomposition by
-greedy linear splitting with verified certificates, and a deliberately
-brute-force cross-validation oracle that splits along idempotent
-endomorphisms found by exhaustive enumeration.
+counting hook multiplicities as pairing ranks on the module's own grid,
+with verified certificates, and a deliberately brute-force
+cross-validation oracle that splits along idempotent endomorphisms found
+by exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ from .linalg import (
 from .resolution import grid_betti
 
 DEFAULT_ENDO_THRESHOLD = 16
+# Endomorphism coefficient vectors tested per vectorized batch by the oracle.
+_IDEMPOTENT_CHUNK = 2048
 
 
 class GridMorphism:
@@ -248,157 +252,115 @@ def hook_grid(hook: Hook, p, box) -> GridModule:
     return to_grid(hook_module(hook, p), box)
 
 
-def _structure_map(K: GridModule, src, dst) -> Matrix:
-    """Matrix of the multiplication K(src) → K(dst), for src ≤ dst."""
-    m = Matrix.identity(K.p, K.dim(*src))
+def _structure_map(M: GridModule, src, dst) -> Matrix:
+    """Matrix of the multiplication M(src) → M(dst), for src ≤ dst."""
+    m = Matrix.identity(M.p, M.dim(*src))
     for a in range(src[0], dst[0]):
-        m = K.hmap(a, src[1]) @ m
+        m = M.hmap(a, src[1]) @ m
     for b in range(src[1], dst[1]):
-        m = K.vmap(dst[0], b) @ m
+        m = M.vmap(dst[0], b) @ m
     return m
 
 
-def _propagate(K: GridModule, start, v):
+def _propagate(M: GridModule, start, v):
     """Images of a vector at `start` under all monomial multiplications."""
-    bx, by = K.box
-    w = {start: np.asarray(v, dtype=np.int64) % K.p}
+    bx, by = M.box
+    w = {start: np.asarray(v, dtype=np.int64) % M.p}
     for a in range(start[0], bx + 1):
         for b in range(start[1], by + 1):
             if (a, b) == start:
                 continue
             if a > start[0]:
-                w[(a, b)] = K.hmap(a - 1, b).apply(w[(a - 1, b)])
+                w[(a, b)] = M.hmap(a - 1, b).apply(w[(a - 1, b)])
             else:
-                w[(a, b)] = K.vmap(a, b - 1).apply(w[(a, b - 1)])
+                w[(a, b)] = M.vmap(a, b - 1).apply(w[(a, b - 1)])
     return w
 
 
-def _kernel_complement(K: GridModule, t: GridMorphism):
-    """Kernel of a morphism out of K as a grid module plus its inclusion columns."""
-    p = K.p
-    bx, by = K.box
-    basis = {}
-    dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
-    for a in range(bx + 1):
-        for b in range(by + 1):
-            cols = kernel_basis(t.at(a, b))
-            basis[(a, b)] = Matrix.from_columns(p, cols, K.dim(a, b))
-            dims[a, b] = len(cols)
+def _assemble_certificate(grid: GridModule, peeled, hook_grids) -> HookCertificate:
+    """Embed the hook sum into `grid` along the chosen generators and verify.
 
-    def induced(src, dst, m):
-        x = solve_matrix(basis[dst], m @ basis[src])
-        if x is None:
-            raise InvariantViolation("morphism kernel is not a submodule")
-        return x
-
-    hmaps = [[induced((a, b), (a + 1, b), K.hmap(a, b)) for b in range(by + 1)] for a in range(bx)]
-    vmaps = [[induced((a, b), (a, b + 1), K.vmap(a, b)) for b in range(by)] for a in range(bx + 1)]
-    return GridModule(p, K.box, dims, hmaps, vmaps, check=False), basis
-
-
-def _split_hook(K: GridModule, birth, deaths):
-    """A hook [birth, q) that is a direct summand of K, or None.
-
-    `birth` must be a minimal degree of K.  For v in ker(K(birth) → K(q))
-    (all of K(birth) when q = ∞) the hook maps onto the submodule ⟨v⟩; a
-    morphism t: K → hook with t_birth(v) ≠ 0 composes with that map to a
-    nonzero scalar, as hooks have one-dimensional endomorphisms, so
-    K = ⟨v⟩ ⊕ ker t.  Both conditions are linear: it suffices to pair a
-    kernel basis with a hom-space basis.  Returns (hook, v, t).
+    `peeled` holds (hook, v) pairs with v a vector at the hook's birth;
+    `hook_grids` maps each hook to its grid on the box of `grid`.
     """
-    p = K.p
-    for q in [q for q in deaths if leq(birth, q) and q != birth] + [(INF, INF)]:
-        hook = Hook(birth, q)
-        if hook.is_free:
-            vs = list(np.eye(K.dim(*birth), dtype=np.int64))
-        else:
-            vs = kernel_basis(_structure_map(K, birth, q))
-        if not vs:
-            continue
-        ts = hom_basis(K, hook_grid(hook, p, K.box))
-        if not ts:
-            continue
-        pairing = (np.vstack([t.at(*birth).a for t in ts]) @ np.column_stack(vs)) % p
-        hits = np.argwhere(pairing)
-        if hits.size:
-            j, i = hits[0]
-            return hook, vs[i], ts[j]
-    return None
-
-
-def _assemble_certificate(mgrid: GridModule, peeled) -> HookCertificate:
-    p, box = mgrid.p, mgrid.box
-    pairs = sorted(peeled, key=lambda hc: hc[0].sort_key())
-    hooks = tuple(h for h, _ in pairs)
-    source = grid_direct_sum([hook_grid(h, p, box) for h in hooks], p, box)
+    p, box = grid.p, grid.box
+    peeled = sorted(peeled, key=lambda hv: hv[0].sort_key())
+    hooks = tuple(h for h, _ in peeled)
+    source = grid_direct_sum([hook_grids[h] for h in hooks], p, box)
+    images = [(h, _propagate(grid, h.p, v)) for h, v in peeled]
     comps = {}
     for a in range(box[0] + 1):
         for b in range(box[1] + 1):
-            cols = [cols_by_pt[(a, b)] for h, cols_by_pt in pairs if (a, b) in cols_by_pt]
+            cols = [w[(a, b)] for h, w in images if h.supports((a, b))]
             if cols:
-                comps[(a, b)] = Matrix(p, np.hstack(cols))
+                comps[(a, b)] = Matrix(p, np.column_stack(cols))
             else:
-                comps[(a, b)] = Matrix.zeros(p, mgrid.dim(a, b), 0)
-    embedding = GridMorphism(source, mgrid, comps)
+                comps[(a, b)] = Matrix.zeros(p, grid.dim(a, b), 0)
+    embedding = GridMorphism(source, grid, comps)
     if not (embedding.is_natural() and embedding.is_isomorphism()):
         raise InvariantViolation("assembled hook embedding failed verification")
     return HookCertificate(hooks, embedding)
 
 
-def peel_hooks(grid: GridModule, deaths):
+def peel_hooks(grid: GridModule, betti):
     """Split a grid module into hooks; return a verified certificate or None.
 
-    `grid` must be the stable grid of a minimal presentation and `deaths`
-    its relation degrees.  Hooks are peeled greedily: each round takes the
-    lexicographically least degree `birth` where the remaining module K is
-    nonzero, which is a minimal degree of K, and tries as deaths q the
-    relation degrees above `birth`, then ∞, splitting off the first hook
-    [birth, q) that passes the linear criterion of `_split_hook`.  Every
-    hook summand of a hook sum dies at such a relation degree, and by
-    Krull-Schmidt the complement of any split-off summand of a hook sum is
-    again a hook sum, so a round that splits nothing proves the module is
-    not hook-decomposable and no backtracking is needed.  The returned
+    `grid` must be the stable grid of a minimal presentation and `betti` its
+    Betti table.  A hook sum has projective dimension ≤ 1, so β2 ≠ 0 gives
+    None at once.  Otherwise each hook H = [p, q) with p a β0 degree and q a
+    β1 degree above p or ∞ is counted on `grid` itself: End(H) = F_p, so the
+    multiplicity of H in M is the rank of the pairing t, v ↦ t_p(v) between
+    Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), and the pivot columns give
+    that many generators of copies of H.  Maps between non-isomorphic hooks
+    lie in the radical, so the chosen generators embed the hook sum as a
+    direct summand of M; when the multiplicities at every p fill β0(p) the
+    complement has no generators and is 0.  In a hook sum every summand is
+    born at a β0 degree and dies at a β1 degree or ∞, so a birth p that falls
+    short proves the module is not hook-decomposable.  The returned
     embedding is re-verified to be a natural degreewise isomorphism.
     """
+    if betti.beta2:
+        return None
     p, box = grid.p, grid.box
-    deaths = sorted(set(deaths))
-    K = grid
-    incl = {
-        (a, b): Matrix.identity(p, grid.dim(a, b))
-        for a in range(box[0] + 1)
-        for b in range(box[1] + 1)
-    }
+    deaths = sorted(set(betti.beta1))
+    need = Counter(betti.beta0)
+    hook_grids = {}
     peeled = []
-    while not K.is_zero:
-        xs, ys = np.nonzero(K.dims)
-        birth = (int(xs[0]), int(ys[0]))
-        split = _split_hook(K, birth, deaths)
-        if split is None:
+    for birth in sorted(need):
+        found = 0
+        for q in [q for q in deaths if leq(birth, q) and q != birth] + [(INF, INF)]:
+            hook = Hook(birth, q)
+            if hook.is_free:
+                vs = list(np.eye(grid.dim(*birth), dtype=np.int64))
+            else:
+                vs = kernel_basis(_structure_map(grid, birth, q))
+            if not vs:
+                continue
+            hook_grids[hook] = hook_grid(hook, p, box)
+            ts = hom_basis(grid, hook_grids[hook])
+            if not ts:
+                continue
+            pairing = np.vstack([t.at(*birth).a for t in ts]) @ np.column_stack(vs)
+            pivots = rref(Matrix(p, pairing)).pivots
+            peeled.extend((hook, vs[i]) for i in pivots)
+            found += len(pivots)
+            if found >= need[birth]:
+                break
+        if found > need[birth]:
+            raise InvariantViolation(f"{found} hooks born at {birth} exceed β0 = {need[birth]}")
+        if found < need[birth]:
             return None
-        hook, v, t = split
-        columns = {
-            pt: (incl[pt].a @ vec.reshape(-1, 1)) % p
-            for pt, vec in _propagate(K, birth, v).items()
-            if vec.any()
-        }
-        peeled.append((hook, columns))
-        K, basis = _kernel_complement(K, t)
-        incl = {pt: incl[pt] @ basis[pt] for pt in incl}
-    return _assemble_certificate(grid, peeled)
+    return _assemble_certificate(grid, peeled, hook_grids)
 
 
 def hook_decompose(pres: Presentation):
     """Decide hook-decomposability; return a verified certificate or None.
 
-    Minimizes, evaluates the stable grid, and rules out a nonzero β2 from
-    the Koszul Betti table of that grid at once (a hook sum has projective
-    dimension ≤ 1); otherwise `peel_hooks` decides on the same grid.
+    Minimizes, evaluates the stable grid and its Koszul Betti table, and
+    lets `peel_hooks` decide on that grid.
     """
-    mpres = minimize(pres)
-    grid, _ = stable_grid(mpres)
-    if grid_betti(grid).beta2:
-        return None
-    return peel_hooks(grid, mpres.rels)
+    grid, _ = stable_grid(minimize(pres))
+    return peel_hooks(grid, grid_betti(grid))
 
 
 def _image_subgrid(M: GridModule, e: GridMorphism):
@@ -426,7 +388,7 @@ def _image_subgrid(M: GridModule, e: GridMorphism):
     return GridModule(p, M.box, dims, hmaps, vmaps, check=False)
 
 
-def _find_nontrivial_idempotent(M: GridModule, basis, chunk=2048):
+def _find_nontrivial_idempotent(M: GridModule, basis):
     """First nonzero, non-identity idempotent endomorphism in coefficient
     lexicographic order, or None if only trivial idempotents exist."""
     p = M.p
@@ -445,7 +407,7 @@ def _find_nontrivial_idempotent(M: GridModule, basis, chunk=2048):
     coeff_iter = itertools.product(range(p), repeat=dim)
     first = True
     while True:
-        rows = list(itertools.islice(coeff_iter, chunk))
+        rows = list(itertools.islice(coeff_iter, _IDEMPOTENT_CHUNK))
         if not rows:
             return None
         c = np.asarray(rows, dtype=np.int64)

@@ -78,13 +78,6 @@ class Matrix:
     def identity(cls, p, n):
         return cls(p, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_columns(cls, p, columns, rows):
-        """Build a matrix from a sequence of length-``rows`` column vectors."""
-        if not columns:
-            return cls.zeros(p, rows, 0)
-        return cls(p, np.column_stack([np.asarray(c, dtype=np.int64) for c in columns]))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]

@@ -1,7 +1,17 @@
 import pytest
 
-from bipers.bigraded import INF, Hook, Presentation, classification_box, hilbert_function, stable_grid, to_grid
-from bipers.classify import verify_certificate
+from bipers.bigraded import (
+    INF,
+    Hook,
+    Presentation,
+    classification_box,
+    direct_sum,
+    hilbert_function,
+    minimize,
+    stable_grid,
+    to_grid,
+)
+from bipers.classify import classify, verify_certificate
 from bipers.decomposition import (
     GridMorphism,
     decompose_oracle,
@@ -10,17 +20,21 @@ from bipers.decomposition import (
     hook_decompose,
     hook_grid,
     hook_profile,
+    peel_hooks,
 )
 from bipers.errors import ThresholdExceeded
 from bipers.generators import (
     RandomSpec,
+    SplitMix64,
+    _scramble,
     free_module,
     gallery,
     hook_module,
     random_hook_summands,
     random_module,
 )
-from bipers.linalg import Matrix
+from bipers.linalg import Matrix, rank
+from bipers.resolution import grid_betti
 
 
 def hooks_as_pairs(hooks):
@@ -144,8 +158,6 @@ def test_scramble_recovery_round_trip(seed):
 
 
 def test_explicit_scrambled_pair_of_hooks():
-    from bipers.bigraded import direct_sum
-
     pres = direct_sum(hook_module(Hook((0, 0), (2, 1))), hook_module(Hook((1, 1), (3, 3))))
     # Degree-legal change of basis by hand: add gen0 into gen1, mix columns.
     c = pres.coeffs.a.copy()
@@ -175,9 +187,12 @@ def test_pd1_not_hook_rejected_over_large_field():
     assert hook_decompose(pres) is None
 
 
+LARGE_FIELD_SPECS = [RandomSpec("hook_sum_scrambled", max_hooks=5, max_degree=8, seed=900 + k) for k in range(3)]
+
+
 @pytest.mark.parametrize(
     "spec, p",
-    [(RandomSpec("hook_sum_scrambled", max_hooks=5, max_degree=8, seed=900 + k), 65521) for k in range(3)]
+    [(spec, 65521) for spec in LARGE_FIELD_SPECS]
     + [(RandomSpec("hook_sum_scrambled", max_hooks=12, max_degree=16, seed=3), 2)],
 )
 def test_hook_sums_beyond_exhaustive_search(spec, p):
@@ -186,6 +201,73 @@ def test_hook_sums_beyond_exhaustive_search(spec, p):
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(random_hook_summands(spec))
     assert verify_certificate(pres, cert)
+
+
+def _structure_maps_from(grid, alpha):
+    """{β: matrix of M(α) → M(β)} for every β ≥ α in the box."""
+    maps = {}
+    for a in range(alpha[0], grid.box[0] + 1):
+        for b in range(alpha[1], grid.box[1] + 1):
+            if (a, b) == alpha:
+                maps[(a, b)] = Matrix.identity(grid.p, grid.dim(a, b))
+            elif a > alpha[0]:
+                maps[(a, b)] = grid.hmap(a - 1, b) @ maps[(a - 1, b)]
+            else:
+                maps[(a, b)] = grid.vmap(a, b - 1) @ maps[(a, b - 1)]
+    return maps
+
+
+@pytest.mark.parametrize("spec", LARGE_FIELD_SPECS)
+def test_certificate_matches_rank_invariant_over_large_field(spec):
+    # Hook rank functions are linearly independent, so the rank invariant of
+    # M pins its hook multiset.  Checked on the unminimized input, without
+    # the peel or the oracle (which cannot run at this p).
+    pres = random_module(spec, p=65521)
+    hooks = hook_decompose(pres).hooks
+    grid = to_grid(pres, classification_box(pres))
+    bx, by = grid.box
+    for alpha in [(a, b) for a in range(bx + 1) for b in range(by + 1)]:
+        for beta, m in _structure_maps_from(grid, alpha).items():
+            expected = sum(1 for h in hooks if h.supports(alpha) and h.supports(beta))
+            assert rank(m) == expected, (alpha, beta)
+
+
+NESTED_HOOKS = [
+    Hook((0, 0), (1, 1)),
+    Hook((0, 0), (1, 1)),
+    Hook((0, 0), (2, 1)),
+    Hook((0, 0), (3, 3)),
+    Hook((0, 0), (INF, INF)),
+    Hook((0, 0), (INF, INF)),
+    Hook((1, 0), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_hook_multiplicities_above_one_at_one_birth(p):
+    pres = _scramble(direct_sum(*[hook_module(h, p) for h in NESTED_HOOKS]), SplitMix64(1000 + p))
+    cert = hook_decompose(pres)
+    assert cert is not None
+    assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(NESTED_HOOKS)
+    assert verify_certificate(pres, cert)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_glued_pair_beside_hooks_is_rejected(p):
+    glued = gallery("pd1-not-hook")
+    glued = Presentation(p, glued.gens, glued.rels, Matrix(p, glued.coeffs.a))
+    parts = [glued, hook_module(Hook((0, 1), (2, 2)), p), hook_module(Hook((1, 0), (INF, INF)), p)]
+    pres = _scramble(direct_sum(*parts), SplitMix64(2000 + p))
+    assert hook_decompose(pres) is None
+    rep = classify(pres)
+    assert rep.projective_dimension == 1
+    assert not rep.hook_decomposable and rep.certificate is None
+
+
+def test_peel_hooks_rejects_nonzero_beta2():
+    grid, _ = stable_grid(minimize(gallery("koszul-point")))
+    assert grid_betti(grid).beta2
+    assert peel_hooks(grid, grid_betti(grid)) is None
 
 
 # ------------------------------------------------------------------- oracle
@@ -198,8 +280,6 @@ def test_oracle_on_single_hook():
 
 
 def test_oracle_splits_two_hooks():
-    from bipers.bigraded import direct_sum
-
     pres = direct_sum(hook_module(Hook((0, 0), (2, 1))), hook_module(Hook((1, 1), (3, 3))))
     grid, _ = stable_grid(pres)
     summands = decompose_oracle(grid)
