@@ -13,6 +13,7 @@ every finite value is below ∞ and no finite value is above it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,16 +379,28 @@ def zero_grid(p, box) -> GridModule:
     return GridModule(p, box, np.zeros((bx + 1, by + 1), dtype=np.int64), h, v, check=False)
 
 
-class _DegreeData:
-    """Per-degree quotient bookkeeping for grid evaluation."""
+# Per-degree quotient bookkeeping for grid evaluation: the indices of the
+# generators alive at the degree (sorted), echelon rows spanning the evaluated
+# relation space, their pivot positions inside the alive-generator
+# coordinates, and the non-pivot positions, which index the quotient basis.
+_DegreeData = namedtuple("_DegreeData", ["gens", "ech", "piv", "free"])
 
-    __slots__ = ("gens", "ech", "piv", "free")
 
-    def __init__(self, gens, ech, piv, free):
-        self.gens = gens  # indices of generators alive at this degree (sorted)
-        self.ech = ech  # echelon rows spanning the evaluated relation space
-        self.piv = piv  # pivot positions of ech inside the alive-gen coords
-        self.free = free  # non-pivot positions: the quotient basis
+def _degree_data(pres: Presentation, degree) -> _DegreeData:
+    gi = np.asarray(_alive_gens(pres, degree), dtype=np.intp)
+    rj = np.asarray(_alive_rels(pres, degree), dtype=np.intp)
+    sub = pres.coeffs.a[np.ix_(gi, rj)] if gi.size and rj.size else np.zeros((gi.size, rj.size), dtype=np.int64)
+    ech, piv = row_space_echelon(Matrix(pres.p, sub.T))
+    free = np.asarray([k for k in range(gi.size) if k not in set(piv.tolist())], dtype=np.intp)
+    return _DegreeData(gi, ech, piv, free)
+
+
+def grid_coordinates(pres: Presentation, degree, v) -> np.ndarray:
+    """Coordinates in the `to_grid` basis at `degree` of the element
+    Σ v_i·g_i, where v has one entry per generator and vanishes on every
+    generator not born by `degree`."""
+    dd = _degree_data(pres, degree)
+    return reduce_mod_rows(np.asarray(v, dtype=np.int64)[dd.gens], dd.ech, dd.piv, pres.p)[dd.free]
 
 
 def to_grid(pres: Presentation, box) -> GridModule:
@@ -406,18 +419,8 @@ def to_grid(pres: Presentation, box) -> GridModule:
     if (pres.gens or pres.rels) and not (nx <= bx and ny <= by):
         raise BoxTooSmall(f"box {(bx, by)} does not cover presentation degrees {(nx, ny)}")
 
-    c = pres.coeffs.a
-    data: dict[tuple, _DegreeData] = {}
-    dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
-    for a in range(bx + 1):
-        for b in range(by + 1):
-            gi = np.asarray(_alive_gens(pres, (a, b)), dtype=np.intp)
-            rj = np.asarray(_alive_rels(pres, (a, b)), dtype=np.intp)
-            sub = c[np.ix_(gi, rj)] if gi.size and rj.size else np.zeros((gi.size, rj.size), dtype=np.int64)
-            ech, piv = row_space_echelon(Matrix(p, sub.T))
-            free = np.asarray([k for k in range(gi.size) if k not in set(piv.tolist())], dtype=np.intp)
-            data[(a, b)] = _DegreeData(gi, ech, piv, free)
-            dims[a, b] = free.size
+    data = {(a, b): _degree_data(pres, (a, b)) for a in range(bx + 1) for b in range(by + 1)}
+    dims = np.array([[data[(a, b)].free.size for b in range(by + 1)] for a in range(bx + 1)], dtype=np.int64)
 
     def induced(src, dst) -> Matrix:
         ds, dt = data[src], data[dst]

@@ -42,8 +42,8 @@ def classify(pres: Presentation) -> ClassificationReport:
 
     One pass over the module: minimize once, evaluate the stable grid of the
     minimal presentation once, read the Betti table (hence pd) from that
-    grid, and let `peel_hooks` decide hook-decomposability on the same grid
-    and table.
+    grid, and let `peel_hooks` count hooks on the minimal presentation and
+    verify its certificate on the same grid.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -59,7 +59,7 @@ def classify(pres: Presentation) -> ClassificationReport:
     pd = 0 if free else (1 if bt.total(2) == 0 else 2)
 
     t = time.perf_counter()
-    cert = peel_hooks(grid, bt)
+    cert = peel_hooks(mpres, grid, bt)
     timings["decompose"] = time.perf_counter() - t
     hook = cert is not None
 

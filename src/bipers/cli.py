@@ -138,11 +138,7 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
         rels.append(deg)
         for gi, c in row.items():
             coeffs[gi, j] = c % p
-    pres = Presentation(p, gens, rels, Matrix(p, coeffs))
-    try:
-        return validate(pres)
-    except BipersError as exc:
-        raise type(exc)(f"{exc}") from None
+    return validate(Presentation(p, gens, rels, Matrix(p, coeffs)))
 
 
 def presentation_to_bpm(pres: Presentation, gen_names=None) -> str:
@@ -206,7 +202,7 @@ def ascii_support_plot(pres: Presentation, box=None) -> str:
 
 
 def _default_field(args) -> int:
-    if getattr(args, "field", None):
+    if getattr(args, "field", None) is not None:
         return check_modulus(args.field)
     env = os.environ.get("BIPERS_FIELD")
     if env:

@@ -2,10 +2,10 @@
 
 Contains the morphism machinery (hom spaces as natural-transformation
 kernels), hook recognition from support shape, the hook decomposition by
-counting hook multiplicities as pairing ranks on the module's own grid,
-with verified certificates, and a deliberately brute-force
-cross-validation oracle that splits along idempotent endomorphisms found
-by exhaustive enumeration.
+counting hook multiplicities as pairing ranks read off the minimal
+presentation, with certificates verified on the grid, and a deliberately
+brute-force cross-validation oracle that splits along idempotent
+endomorphisms found by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .bigraded import (
     GridModule,
     Hook,
     Presentation,
+    grid_coordinates,
     leq,
     minimize,
     stable_grid,
@@ -252,16 +253,6 @@ def hook_grid(hook: Hook, p, box) -> GridModule:
     return to_grid(hook_module(hook, p), box)
 
 
-def _structure_map(M: GridModule, src, dst) -> Matrix:
-    """Matrix of the multiplication M(src) → M(dst), for src ≤ dst."""
-    m = Matrix.identity(M.p, M.dim(*src))
-    for a in range(src[0], dst[0]):
-        m = M.hmap(a, src[1]) @ m
-    for b in range(src[1], dst[1]):
-        m = M.vmap(dst[0], b) @ m
-    return m
-
-
 def _propagate(M: GridModule, start, v):
     """Images of a vector at `start` under all monomial multiplications."""
     bx, by = M.box
@@ -277,90 +268,103 @@ def _propagate(M: GridModule, start, v):
     return w
 
 
-def _assemble_certificate(grid: GridModule, peeled, hook_grids) -> HookCertificate:
+def _assemble_certificate(grid: GridModule, peeled) -> HookCertificate:
     """Embed the hook sum into `grid` along the chosen generators and verify.
 
-    `peeled` holds (hook, v) pairs with v a vector at the hook's birth;
-    `hook_grids` maps each hook to its grid on the box of `grid`.
+    `peeled` holds (hook, v) pairs, v a vector of `grid` at the hook's birth.
     """
     p, box = grid.p, grid.box
     peeled = sorted(peeled, key=lambda hv: hv[0].sort_key())
     hooks = tuple(h for h, _ in peeled)
+    hook_grids = {h: hook_grid(h, p, box) for h in set(hooks)}
     source = grid_direct_sum([hook_grids[h] for h in hooks], p, box)
     images = [(h, _propagate(grid, h.p, v)) for h, v in peeled]
     comps = {}
     for a in range(box[0] + 1):
         for b in range(box[1] + 1):
             cols = [w[(a, b)] for h, w in images if h.supports((a, b))]
-            if cols:
+            if cols:  # GridMorphism fills the other points with zeros
                 comps[(a, b)] = Matrix(p, np.column_stack(cols))
-            else:
-                comps[(a, b)] = Matrix.zeros(p, grid.dim(a, b), 0)
     embedding = GridMorphism(source, grid, comps)
     if not (embedding.is_natural() and embedding.is_isomorphism()):
         raise InvariantViolation("assembled hook embedding failed verification")
     return HookCertificate(hooks, embedding)
 
 
-def peel_hooks(grid: GridModule, betti):
-    """Split a grid module into hooks; return a verified certificate or None.
+def _hook_generators(pres: Presentation, hook: Hook) -> list:
+    """Generators of the copies of `hook` = [p, q) that split off M = coker C.
 
-    `grid` must be the stable grid of a minimal presentation and `betti` its
-    Betti table.  A hook sum has projective dimension ≤ 1, so β2 ≠ 0 gives
-    None at once.  Otherwise each hook H = [p, q) with p a β0 degree and q a
-    β1 degree above p or ∞ is counted on `grid` itself: End(H) = F_p, so the
-    multiplicity of H in M is the rank of the pairing t, v ↦ t_p(v) between
-    Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), and the pivot columns give
-    that many generators of copies of H.  Maps between non-isomorphic hooks
-    lie in the radical, so the chosen generators embed the hook sum as a
-    direct summand of M; when the multiplicities at every p fill β0(p) the
-    complement has no generators and is 0.  In a hook sum every summand is
-    born at a β0 degree and dies at a β1 degree or ∞, so a birth p that falls
-    short proves the module is not hook-decomposable.  The returned
-    embedding is re-verified to be a natural degreewise isomorphism.
+    Hom(M, H) is the kernel of C[S_g, S_r]ᵀ, with S_g and S_r the generators
+    and relations in supp H, and t_p sees only the generators E_p of degree
+    p.  With G_d, R_d the generators and relations ≤ d, ker(M(p) → M(q)) is
+    spanned by C[:, R_q]·w for w in ker C[G_q ∖ G_p, R_q]; for q = ∞, t_p
+    kills all of M(p) but the unit vectors of E_p.  The pivot columns of the
+    pairing T[:, E_p]·V[E_p, :] are returned, with one entry per generator;
+    their number is the multiplicity of H.
+    """
+    p, c, gens, rels = pres.p, pres.coeffs.a, pres.gens, pres.rels
+    s_g = [i for i, g in enumerate(gens) if hook.supports(g)]
+    s_r = [j for j, r in enumerate(rels) if hook.supports(r)]
+    at_p = [k for k, i in enumerate(s_g) if gens[i] == hook.p]
+    e_p = [s_g[k] for k in at_p]
+    ts = kernel_basis(Matrix(p, c[np.ix_(s_g, s_r)].T))
+    if hook.is_free:
+        vs = list(np.eye(len(gens), dtype=np.int64)[e_p])
+    else:
+        new = [i for i, g in enumerate(gens) if leq(g, hook.q) and not leq(g, hook.p)]
+        r_q = [j for j, r in enumerate(rels) if leq(r, hook.q)]
+        vs = [(c[:, r_q] @ w) % p for w in kernel_basis(Matrix(p, c[np.ix_(new, r_q)]))]
+    if not ts or not vs:
+        return []
+    pairing = np.vstack(ts)[:, at_p] @ np.column_stack(vs)[e_p, :]
+    return [vs[k] for k in rref(Matrix(p, pairing)).pivots]
+
+
+def peel_hooks(pres: Presentation, grid: GridModule, betti):
+    """Split a module into hooks; return a verified certificate or None.
+
+    `pres` is a minimal presentation, `grid` its stable grid and `betti` its
+    Betti table.  A hook sum has pd ≤ 1, so β2 ≠ 0 gives None at once.
+    Otherwise, for each β0 degree p and each β1 degree q above p, then ∞,
+    the multiplicity of H = [p, q) is the rank of the pairing t, v ↦ t_p(v)
+    between Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), as End(H) = F_p;
+    `_hook_generators` reads it off `pres`.  Maps between non-isomorphic
+    hooks lie in the radical, so the chosen generators embed the hook sum as
+    a direct summand, which is all of M when the multiplicities fill β0 at
+    every p.  Every summand of a hook sum is born at a β0 degree and dies at
+    a β1 degree or ∞, so a p that falls short proves M is not
+    hook-decomposable.  The embedding is re-verified on `grid`.
     """
     if betti.beta2:
         return None
-    p, box = grid.p, grid.box
     deaths = sorted(set(betti.beta1))
     need = Counter(betti.beta0)
-    hook_grids = {}
     peeled = []
     for birth in sorted(need):
         found = 0
         for q in [q for q in deaths if leq(birth, q) and q != birth] + [(INF, INF)]:
             hook = Hook(birth, q)
-            if hook.is_free:
-                vs = list(np.eye(grid.dim(*birth), dtype=np.int64))
-            else:
-                vs = kernel_basis(_structure_map(grid, birth, q))
-            if not vs:
-                continue
-            hook_grids[hook] = hook_grid(hook, p, box)
-            ts = hom_basis(grid, hook_grids[hook])
-            if not ts:
-                continue
-            pairing = np.vstack([t.at(*birth).a for t in ts]) @ np.column_stack(vs)
-            pivots = rref(Matrix(p, pairing)).pivots
-            peeled.extend((hook, vs[i]) for i in pivots)
-            found += len(pivots)
+            vs = _hook_generators(pres, hook)
+            peeled.extend((hook, grid_coordinates(pres, birth, v)) for v in vs)
+            found += len(vs)
             if found >= need[birth]:
                 break
         if found > need[birth]:
             raise InvariantViolation(f"{found} hooks born at {birth} exceed β0 = {need[birth]}")
         if found < need[birth]:
             return None
-    return _assemble_certificate(grid, peeled, hook_grids)
+    return _assemble_certificate(grid, peeled)
 
 
 def hook_decompose(pres: Presentation):
     """Decide hook-decomposability; return a verified certificate or None.
 
     Minimizes, evaluates the stable grid and its Koszul Betti table, and
-    lets `peel_hooks` decide on that grid.
+    lets `peel_hooks` count hooks on the minimal presentation.
     """
-    grid, _ = stable_grid(minimize(pres))
-    return peel_hooks(grid, grid_betti(grid))
+    mpres = minimize(pres)
+    grid, _ = stable_grid(mpres)
+    return peel_hooks(mpres, grid, grid_betti(grid))
 
 
 def _image_subgrid(M: GridModule, e: GridMorphism):
@@ -405,18 +409,12 @@ def _find_nontrivial_idempotent(M: GridModule, basis):
     eyes = {pt: np.eye(M.dim(*pt), dtype=np.int64) for pt in points}
 
     coeff_iter = itertools.product(range(p), repeat=dim)
-    first = True
+    next(coeff_iter)  # drop the zero endomorphism
     while True:
         rows = list(itertools.islice(coeff_iter, _IDEMPOTENT_CHUNK))
         if not rows:
             return None
         c = np.asarray(rows, dtype=np.int64)
-        if first:
-            c = c[1:]  # drop the zero endomorphism
-            rows = rows[1:]
-            first = False
-            if not len(rows):
-                continue
         ok = np.ones(len(rows), dtype=bool)
         is_id = np.ones(len(rows), dtype=bool)
         for pt in points:

@@ -9,6 +9,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import NonPrimeModulus
 MAX_MODULUS = 1 << 16
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

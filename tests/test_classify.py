@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import bipers.bigraded
+import bipers.decomposition
 import bipers.resolution
 from bipers.bigraded import Presentation
 from bipers.classify import (
@@ -98,6 +99,7 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
         "minimize": bipers.bigraded.minimize,
         "stable_grid": bipers.bigraded.stable_grid,
         "syzygy_presentation": bipers.resolution.syzygy_presentation,
+        "hom_basis": bipers.decomposition.hom_basis,
     }
     calls = Counter()
 

@@ -324,6 +324,18 @@ def test_field_env_override(tmp_path, capsys, monkeypatch):
     assert main(["classify", str(path)]) == 2
 
 
+@pytest.mark.parametrize("env", [None, "3"])
+def test_field_zero_is_rejected(tmp_path, capsys, monkeypatch, env):
+    path = tmp_path / "nofield.bpm"
+    path.write_text("gen g 0 0\n")
+    if env is None:
+        monkeypatch.delenv("BIPERS_FIELD", raising=False)
+    else:
+        monkeypatch.setenv("BIPERS_FIELD", env)
+    assert main(["classify", str(path), "--field", "0"]) == 2
+    assert "field modulus must be prime, got 0" in capsys.readouterr().err
+
+
 def test_oversized_field_exit_code(tmp_path, capsys):
     path = tmp_path / "big.bpm"
     path.write_text("field 4294967311\ngen g 0 0\nrel r 1 1 : 1*g\n")

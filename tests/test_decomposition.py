@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bipers.bigraded import (
@@ -7,6 +8,7 @@ from bipers.bigraded import (
     classification_box,
     direct_sum,
     hilbert_function,
+    leq,
     minimize,
     stable_grid,
     to_grid,
@@ -21,6 +23,7 @@ from bipers.decomposition import (
     hook_grid,
     hook_profile,
     peel_hooks,
+    _hook_generators,
 )
 from bipers.errors import ThresholdExceeded
 from bipers.generators import (
@@ -33,7 +36,7 @@ from bipers.generators import (
     random_hook_summands,
     random_module,
 )
-from bipers.linalg import Matrix, rank
+from bipers.linalg import Matrix, kernel_basis, rank
 from bipers.resolution import grid_betti
 
 
@@ -265,9 +268,43 @@ def test_glued_pair_beside_hooks_is_rejected(p):
 
 
 def test_peel_hooks_rejects_nonzero_beta2():
-    grid, _ = stable_grid(minimize(gallery("koszul-point")))
+    mpres = minimize(gallery("koszul-point"))
+    grid, _ = stable_grid(mpres)
     assert grid_betti(grid).beta2
-    assert peel_hooks(grid, grid_betti(grid)) is None
+    assert peel_hooks(mpres, grid, grid_betti(grid)) is None
+
+
+def _pairing_rank_on_grid(grid, hook):
+    """Rank of t, v ↦ t_p(v) between Hom(M, H) and ker(M(p) → M(q)),
+    both solved on the grid."""
+    birth = hook.p
+    if hook.is_free:
+        vs = list(np.eye(grid.dim(*birth), dtype=np.int64))
+    else:
+        vs = kernel_basis(_structure_maps_from(grid, birth)[hook.q])
+    ts = hom_basis(grid, hook_grid(hook, grid.p, grid.box))
+    if not vs or not ts:
+        return 0
+    return rank(Matrix(grid.p, np.vstack([t.at(*birth).a for t in ts]) @ np.column_stack(vs)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hook_counts_on_presentation_match_grid_pairing(p):
+    # The grid route stays as the reference: for every candidate hook of the
+    # peel, the vectors read off the minimal presentation are as many as the
+    # rank of the pairing solved on the grid.
+    checked = 0
+    for seed in range(100):
+        mpres = minimize(random_module(RandomSpec("arbitrary", max_gens=4, max_rels=4, max_degree=4, seed=seed), p=p))
+        grid, _ = stable_grid(mpres)
+        bt = grid_betti(grid)
+        for birth in sorted(set(bt.beta0)):
+            deaths = [q for q in sorted(set(bt.beta1)) if leq(birth, q) and q != birth]
+            for q in deaths + [(INF, INF)]:
+                hook = Hook(birth, q)
+                assert len(_hook_generators(mpres, hook)) == _pairing_rank_on_grid(grid, hook), (seed, hook)
+                checked += 1
+    assert checked > 100
 
 
 # ------------------------------------------------------------------- oracle
