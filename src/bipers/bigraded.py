@@ -292,6 +292,22 @@ def minimize(pres: Presentation) -> Presentation:
     return Presentation(p, gens, [rels[j] for j in kept], Matrix(p, c[:, kept] if kept else np.zeros((len(gens), 0), dtype=np.int64)))
 
 
+def compress(pres: Presentation):
+    """``(cpres, axes)``: each coordinate replaced by its rank in ``axes``,
+    the sorted distinct x- and y-values of the degrees; coefficients kept.
+    Maps between consecutive values are isomorphisms, so the Betti degrees
+    and hook corners of `cpres` are those of `pres` under `expand`."""
+    axes = tuple(tuple(sorted({d[k] for d in pres.gens + pres.rels})) for k in (0, 1))
+    index = [{v: i for i, v in enumerate(axis)} for axis in axes]
+    relabel = lambda degrees: [(index[0][x], index[1][y]) for x, y in degrees]
+    return Presentation(pres.p, relabel(pres.gens), relabel(pres.rels), pres.coeffs), axes
+
+
+def expand(degree, axes):
+    """Map a degree of the compressed grid back; ∞ stays ∞."""
+    return tuple(INF if v == INF else axis[v] for v, axis in zip(degree, axes))
+
+
 def classification_box(pres: Presentation):
     """Bounding box of all presentation degrees, enlarged by (1, 1).
 
@@ -391,7 +407,7 @@ def _degree_data(pres: Presentation, degree) -> _DegreeData:
     rj = np.asarray(_alive_rels(pres, degree), dtype=np.intp)
     sub = pres.coeffs.a[np.ix_(gi, rj)] if gi.size and rj.size else np.zeros((gi.size, rj.size), dtype=np.int64)
     ech, piv = row_space_echelon(Matrix(pres.p, sub.T))
-    free = np.asarray([k for k in range(gi.size) if k not in set(piv.tolist())], dtype=np.intp)
+    free = np.asarray(sorted(set(range(gi.size)).difference(piv.tolist())), dtype=np.intp)
     return _DegreeData(gi, ech, piv, free)
 
 

@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .bigraded import INF, Hook, Presentation, classification_box, minimize, stable_grid, validate
+from .bigraded import INF, Hook, Presentation, classification_box, compress, expand, minimize, stable_grid
 from .decomposition import GridMorphism, HookCertificate, grid_direct_sum, hook_grid, peel_hooks
 from .resolution import BettiTable, grid_betti
 
@@ -40,10 +40,11 @@ class ClassificationReport:
 def classify(pres: Presentation) -> ClassificationReport:
     """Full classification with certificate; deterministic up to timings.
 
-    One pass over the module: minimize once, evaluate the stable grid of the
-    minimal presentation once, read the Betti table (hence pd) from that
-    grid, and let `peel_hooks` count hooks on the minimal presentation and
-    verify its certificate on the same grid.
+    One pass over the module: minimize once, `compress` it, evaluate the
+    stable grid once, read the Betti table (hence pd) from that grid, and
+    let `peel_hooks` count hooks and verify its certificate on the same
+    grid.  Betti degrees and hook corners are mapped back by `expand`;
+    `box` is the input's classification box.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -51,7 +52,8 @@ def classify(pres: Presentation) -> ClassificationReport:
     timings["minimize"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    grid, _ = stable_grid(mpres)
+    cpres, axes = compress(mpres)
+    grid, _ = stable_grid(cpres)
     bt = grid_betti(grid)
     timings["betti"] = time.perf_counter() - t
 
@@ -59,7 +61,7 @@ def classify(pres: Presentation) -> ClassificationReport:
     pd = 0 if free else (1 if bt.total(2) == 0 else 2)
 
     t = time.perf_counter()
-    cert = peel_hooks(mpres, grid, bt)
+    cert = peel_hooks(cpres, grid, bt)
     timings["decompose"] = time.perf_counter() - t
     hook = cert is not None
 
@@ -70,8 +72,8 @@ def classify(pres: Presentation) -> ClassificationReport:
         structure_theorem=hook,
         gamma_product=hook,
         projective_dimension=pd,
-        betti=bt,
-        certificate=cert,
+        betti=bt.expand(axes),
+        certificate=cert.expand(axes) if hook else None,
         field_modulus=pres.p,
         box=classification_box(pres),
         timings=timings,
@@ -94,18 +96,23 @@ def check_implications(report: ClassificationReport) -> bool:
 def verify_certificate(pres: Presentation, cert: HookCertificate) -> bool:
     """Check a certificate against a presentation from scratch.
 
-    Rebuilds the canonical grid of the (minimized) presentation on its
-    classification box and checks that the certificate's embedding maps the
-    direct sum of its hook grids onto it naturally and bijectively at every
-    degree.  Component matrices are interpreted in the canonical grid bases,
-    which are deterministic.
+    Rebuilds the canonical grid of the compressed minimal presentation, maps
+    the hook corners onto its axes (False if one is off them), and checks
+    that the embedding maps the direct sum of the hook grids onto it
+    naturally and bijectively at every degree, in the deterministic
+    canonical grid bases.
     """
-    pres = validate(pres)
-    grid, box = stable_grid(minimize(pres))
+    cpres, axes = compress(minimize(pres))
+    grid, box = stable_grid(cpres)
     p = pres.p
     if cert.embedding.source.box != box or cert.embedding.source.p != p:
         return False
-    expected_source = grid_direct_sum([hook_grid(h, p, box) for h in cert.hooks], p, box)
+    local = {expand((a, b), axes): (a, b) for a in range(len(axes[0])) for b in range(len(axes[1]))}
+    local[(INF, INF)] = (INF, INF)
+    if any(h.p not in local or h.q not in local for h in cert.hooks):
+        return False
+    hooks = [Hook(local[h.p], local[h.q]) for h in cert.hooks]
+    expected_source = grid_direct_sum([hook_grid(h, p, box) for h in hooks], p, box)
     if not (expected_source.dims == cert.embedding.source.dims).all():
         return False
     for a in range(box[0] + 1):

@@ -21,6 +21,8 @@ from .bigraded import (
     GridModule,
     Hook,
     Presentation,
+    compress,
+    expand,
     grid_coordinates,
     leq,
     minimize,
@@ -106,10 +108,16 @@ class GridMorphism:
 
 @dataclass(frozen=True)
 class HookCertificate:
-    """A hook multiset with an explicit embedding isomorphism into M."""
+    """A hook multiset, in input coordinates, with an explicit embedding
+    isomorphism into the compressed grid of M's minimal presentation."""
 
     hooks: tuple
     embedding: GridMorphism
+
+    def expand(self, axes) -> "HookCertificate":
+        """The same certificate with its hook corners mapped back by `expand`."""
+        hooks = tuple(Hook(expand(h.p, axes), expand(h.q, axes)) for h in self.hooks)
+        return HookCertificate(hooks, self.embedding)
 
     def diagonal_presentation(self) -> Presentation:
         """One generator and at most one monomial relation per summand."""
@@ -359,12 +367,13 @@ def peel_hooks(pres: Presentation, grid: GridModule, betti):
 def hook_decompose(pres: Presentation):
     """Decide hook-decomposability; return a verified certificate or None.
 
-    Minimizes, evaluates the stable grid and its Koszul Betti table, and
-    lets `peel_hooks` count hooks on the minimal presentation.
+    Minimizes and compresses, evaluates the stable grid and its Koszul Betti
+    table, lets `peel_hooks` count hooks, and maps the hooks back (`expand`).
     """
-    mpres = minimize(pres)
-    grid, _ = stable_grid(mpres)
-    return peel_hooks(mpres, grid, grid_betti(grid))
+    cpres, axes = compress(minimize(pres))
+    grid, _ = stable_grid(cpres)
+    cert = peel_hooks(cpres, grid, grid_betti(grid))
+    return None if cert is None else cert.expand(axes)
 
 
 def _image_subgrid(M: GridModule, e: GridMorphism):

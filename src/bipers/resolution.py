@@ -23,6 +23,8 @@ from .bigraded import (
     Presentation,
     box_degrees,
     classification_box,
+    compress,
+    expand,
     hilbert_function,
     leq,
     minimize,
@@ -60,6 +62,10 @@ class BettiTable:
                 counts[d] = counts.get(d, 0) + 1
             out[i] = [[d[0], d[1], c] for d, c in sorted(counts.items())]
         return out
+
+    def expand(self, axes) -> "BettiTable":
+        """The same table with every degree mapped back by `expand`."""
+        return BettiTable(*(_sorted_degrees(expand(d, axes) for d in self.beta(i)) for i in range(3)))
 
 
 class Resolution:
@@ -153,9 +159,11 @@ def betti_table(pres: Presentation) -> BettiTable:
     """Graded Betti numbers of the presented module (grid homology route).
 
     Evaluates the presentation as given, unminimized, so this route stays
-    independent of `minimize` and of `syzygy_presentation`.
+    independent of `minimize` and of `syzygy_presentation`, on the grid of
+    `compress(pres)`; the degrees are mapped back by `expand`.
     """
-    return grid_betti(stable_grid(pres)[0])
+    cpres, axes = compress(pres)
+    return grid_betti(stable_grid(cpres)[0]).expand(axes)
 
 
 def syzygy_presentation(pres: Presentation) -> Presentation:

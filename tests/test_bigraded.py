@@ -7,7 +7,9 @@ from bipers.bigraded import (
     Hook,
     Presentation,
     classification_box,
+    compress,
     direct_sum,
+    expand,
     frontier_is_stable,
     hilbert_function,
     minimize,
@@ -79,6 +81,19 @@ def test_validate_accepts_zero_module():
 def test_non_prime_modulus_rejected():
     with pytest.raises(NonPrimeModulus):
         Presentation(6, [(0, 0)], [])
+
+
+# --------------------------------------------------------------- compress
+
+
+def test_compress_ranks_coordinates_and_expand_maps_back():
+    pres = Presentation(3, [(0, 5), (40, 5)], [(40, 9)], [[1], [2]])
+    cpres, axes = compress(pres)
+    assert axes == ((0, 40), (5, 9))
+    assert cpres.gens == ((0, 0), (1, 0)) and cpres.rels == ((1, 1),)
+    assert cpres.coeffs == pres.coeffs
+    assert [expand(d, axes) for d in cpres.gens + cpres.rels] == list(pres.gens + pres.rels)
+    assert expand((INF, INF), axes) == (INF, INF)
 
 
 # --------------------------------------------------------------- minimize

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import bipers.bigraded
 import bipers.decomposition
 import bipers.resolution
-from bipers.bigraded import Presentation
+from bipers.bigraded import Hook, Presentation, minimize, stable_grid
 from bipers.classify import (
     ClassificationReport,
     check_implications,
@@ -16,9 +18,9 @@ from bipers.classify import (
     report_to_json,
     verify_certificate,
 )
-from bipers.decomposition import hook_decompose
+from bipers.decomposition import hook_decompose, peel_hooks
 from bipers.generators import RandomSpec, free_module, gallery, random_module
-from bipers.resolution import BettiTable
+from bipers.resolution import BettiTable, grid_betti
 
 
 def test_classify_remark1():
@@ -204,3 +206,51 @@ def test_classify_deterministic_json():
     b = report_to_json(classify(pres), include_timings=False)
     assert a == b
     json.loads(a)  # valid JSON
+
+
+# ---------------------------------------------------- compressed grid
+
+
+@pytest.mark.parametrize("d", [10**6, 2**62 - 1], ids=["1e6", "2^62-1"])
+def test_single_hook_at_a_large_degree(d):
+    # The grid follows the number of distinct degrees, not their values.
+    pres = Presentation(2, [(0, 0)], [(d, 1)], [[1]])
+    t = time.perf_counter()
+    rep = classify(pres)
+    assert time.perf_counter() - t < 0.1
+    assert [(h.p, h.q) for h in rep.certificate.hooks] == [((0, 0), (d, 1))]
+    assert rep.box == (d + 1, 2)
+    assert rep.betti.as_triples()[1] == [[d, 1, 1]]
+    t = time.perf_counter()
+    assert verify_certificate(pres, rep.certificate) is True
+    assert time.perf_counter() - t < 0.1
+
+
+def _stretched(pres):
+    """The same module with every coordinate mapped through x ↦ 7x + 3."""
+    f = lambda degrees: [(7 * x + 3, 7 * y + 3) for x, y in degrees]
+    return Presentation(pres.p, f(pres.gens), f(pres.rels), pres.coeffs)
+
+
+@pytest.mark.parametrize("stretch", [False, True], ids=["dense", "gapped"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_compressed_classify_matches_the_full_grid(p, stretch):
+    for seed in range(100):
+        mpres = minimize(random_module(RandomSpec("arbitrary", max_degree=2, seed=seed), p=p))
+        if stretch:
+            mpres = _stretched(mpres)
+        rep = classify(mpres)
+        grid, _ = stable_grid(mpres)
+        bt = grid_betti(grid)
+        assert rep.betti == bt
+        cert = peel_hooks(mpres, grid, bt)
+        assert (cert is None) == (rep.certificate is None)
+        if cert is not None:
+            assert Counter(rep.certificate.hooks) == Counter(cert.hooks)
+
+
+def test_certificate_with_a_corner_off_the_axes_is_rejected():
+    pres = gallery("hook-not-free")  # axes (0, 1) × (0, 1)
+    cert = classify(pres).certificate
+    moved = dataclasses.replace(cert, hooks=(Hook((0, 0), (2, 2)),))
+    assert verify_certificate(pres, moved) is False

@@ -222,6 +222,15 @@ def test_corpus_runs_and_is_reproducible(tmp_path, capsys):
     assert json.loads(first[-1])["input"] == "gallery:koszul-point"
 
 
+def test_corpus_single_hook_at_a_large_degree(tmp_path, capsys):
+    path = tmp_path / "far.bpm"
+    path.write_text("gen g 0 0\nrel r 1000000 1 : 1*g\n")
+    assert main(["corpus", str(path), "gallery:zero"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[0])["betti"]["1"] == [[1000000, 1, 1]]
+
+
 def test_corpus_parallel_matches_serial(tmp_path, capsys):
     paths = []
     for seed in (7, 8):

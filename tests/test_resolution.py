@@ -17,6 +17,7 @@ from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
 from bipers.resolution import (
+    BettiTable,
     Resolution,
     betti_table,
     grid_betti,
@@ -90,6 +91,13 @@ def test_betti_hook():
     assert bt.beta0 == ((0, 0),)
     assert bt.beta1 == ((1, 1),)
     assert bt.beta2 == ()
+
+
+def test_betti_of_an_unminimized_module_at_a_large_degree():
+    # A redundant second relation: the grid route sees it and cancels it.
+    d = 10**6
+    pres = Presentation(2, [(0, 0)], [(d, 1), (d, 3)], [[1, 1]])
+    assert betti_table(pres) == BettiTable(((0, 0),), ((d, 1),), ())
 
 
 def test_betti_koszul_point_against_enumeration_oracle():
