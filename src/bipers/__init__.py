@@ -32,7 +32,6 @@ from .decomposition import (
     GridMorphism,
     HookCertificate,
     decompose_oracle,
-    grid_direct_sum,
     hom_basis,
     hook_decompose,
     hook_grid,

@@ -175,23 +175,28 @@ class Presentation:
         )
 
 
+def legal_mask(low, high) -> np.ndarray:
+    """Boolean (len(low), len(high)) array, True where low[i] ≤ high[j]: the
+    entries of a map between free modules with these finite degrees that
+    can carry a monomial."""
+    lo = np.asarray(low, dtype=np.int64).reshape(-1, 2)
+    hi = np.asarray(high, dtype=np.int64).reshape(-1, 2)
+    return (lo[:, None, 0] <= hi[None, :, 0]) & (lo[:, None, 1] <= hi[None, :, 1])
+
+
 def validate(pres: Presentation) -> Presentation:
     """Check all presentation invariants; returns the input unchanged.
 
     Raises IllegalEntry when a nonzero coefficient sits at a position whose
     relation degree is not above the generator degree (no legal monomial).
     """
-    if pres.n_gens and pres.n_rels:
-        gd = np.asarray(pres.gens, dtype=np.int64)
-        rd = np.asarray(pres.rels, dtype=np.int64)
-        legal = (gd[:, 0:1] <= rd[None, :, 0]) & (gd[:, 1:2] <= rd[None, :, 1])
-        bad = (pres.coeffs.a != 0) & ~legal
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise IllegalEntry(
-                f"coefficient at generator {i} (degree {pres.gens[i]}), relation {j} "
-                f"(degree {pres.rels[j]}) is nonzero but {pres.rels[j]} ≱ {pres.gens[i]}"
-            )
+    bad = (pres.coeffs.a != 0) & ~legal_mask(pres.gens, pres.rels)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise IllegalEntry(
+            f"coefficient at generator {i} (degree {pres.gens[i]}), relation {j} "
+            f"(degree {pres.rels[j]}) is nonzero but {pres.rels[j]} ≱ {pres.gens[i]}"
+        )
     return pres
 
 
@@ -385,14 +390,6 @@ class GridModule:
     @property
     def is_zero(self) -> bool:
         return not self.dims.any()
-
-
-def zero_grid(p, box) -> GridModule:
-    bx, by = box
-    z = lambda: Matrix.zeros(p, 0, 0)
-    h = [[z() for _ in range(by + 1)] for _ in range(bx)]
-    v = [[z() for _ in range(by)] for _ in range(bx + 1)]
-    return GridModule(p, box, np.zeros((bx + 1, by + 1), dtype=np.int64), h, v, check=False)
 
 
 # Per-degree quotient bookkeeping for grid evaluation: the indices of the

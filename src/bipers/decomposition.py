@@ -3,9 +3,9 @@
 Contains the morphism machinery (hom spaces as natural-transformation
 kernels), hook recognition from support shape, the hook decomposition by
 counting hook multiplicities as pairing ranks read off the minimal
-presentation, with certificates verified on the grid, and a deliberately
-brute-force cross-validation oracle that splits along idempotent
-endomorphisms found by exhaustive enumeration.
+presentation, with certificates checked by their Smith form on that same
+presentation, and a deliberately brute-force cross-validation oracle that
+splits along idempotent endomorphisms found by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from .bigraded import (
     Presentation,
     compress,
     expand,
-    grid_coordinates,
     leq,
+    legal_mask,
     minimize,
     stable_grid,
     to_grid,
-    zero_grid,
 )
 from .errors import InvariantViolation, ThresholdExceeded
 from .generators import hook_module
@@ -108,20 +107,23 @@ class GridMorphism:
 
 @dataclass(frozen=True)
 class HookCertificate:
-    """A hook multiset, in input coordinates, with an explicit embedding
-    isomorphism into the compressed grid of M's minimal presentation."""
+    """A hook multiset, in input coordinates, and the change of generator
+    basis P that exhibits it: one row per generator of M's minimal
+    presentation, one column per hook in `hooks` order, generating that
+    hook.  Entries are scalars with implicit monomials x^(p_k − g_i), as in
+    a presentation, so compressing the degrees leaves P unchanged."""
 
     hooks: tuple
-    embedding: GridMorphism
+    basis: Matrix
 
     def expand(self, axes) -> "HookCertificate":
         """The same certificate with its hook corners mapped back by `expand`."""
         hooks = tuple(Hook(expand(h.p, axes), expand(h.q, axes)) for h in self.hooks)
-        return HookCertificate(hooks, self.embedding)
+        return HookCertificate(hooks, self.basis)
 
     def diagonal_presentation(self) -> Presentation:
         """One generator and at most one monomial relation per summand."""
-        p = self.embedding.target.p
+        p = self.basis.p
         gens = [h.p for h in self.hooks]
         bounded = [(i, h.q) for i, h in enumerate(self.hooks) if not h.is_free]
         coeffs = np.zeros((len(gens), len(bounded)), dtype=np.int64)
@@ -231,32 +233,6 @@ def hook_profile(M: GridModule):
     return hook
 
 
-def grid_direct_sum(grids, p, box) -> GridModule:
-    """Block-diagonal direct sum of grid modules on a shared box."""
-    if not grids:
-        return zero_grid(p, box)
-    bx, by = box
-    dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
-    for g in grids:
-        if g.p != p or g.box != box:
-            raise ValueError("summands must share field and box")
-        dims += g.dims
-
-    def block(kind, a, b):
-        mats = [g.hmap(a, b) if kind == "h" else g.vmap(a, b) for g in grids]
-        out = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), dtype=np.int64)
-        r = c = 0
-        for m in mats:
-            out[r : r + m.rows, c : c + m.cols] = m.a
-            r += m.rows
-            c += m.cols
-        return Matrix(p, out)
-
-    hmaps = [[block("h", a, b) for b in range(by + 1)] for a in range(bx)]
-    vmaps = [[block("v", a, b) for b in range(by)] for a in range(bx + 1)]
-    return GridModule(p, box, dims, hmaps, vmaps, check=False)
-
-
 def hook_grid(hook: Hook, p, box) -> GridModule:
     return to_grid(hook_module(hook, p), box)
 
@@ -274,29 +250,6 @@ def _propagate(M: GridModule, start, v):
             else:
                 w[(a, b)] = M.vmap(a, b - 1).apply(w[(a, b - 1)])
     return w
-
-
-def _assemble_certificate(grid: GridModule, peeled) -> HookCertificate:
-    """Embed the hook sum into `grid` along the chosen generators and verify.
-
-    `peeled` holds (hook, v) pairs, v a vector of `grid` at the hook's birth.
-    """
-    p, box = grid.p, grid.box
-    peeled = sorted(peeled, key=lambda hv: hv[0].sort_key())
-    hooks = tuple(h for h, _ in peeled)
-    hook_grids = {h: hook_grid(h, p, box) for h in set(hooks)}
-    source = grid_direct_sum([hook_grids[h] for h in hooks], p, box)
-    images = [(h, _propagate(grid, h.p, v)) for h, v in peeled]
-    comps = {}
-    for a in range(box[0] + 1):
-        for b in range(box[1] + 1):
-            cols = [w[(a, b)] for h, w in images if h.supports((a, b))]
-            if cols:  # GridMorphism fills the other points with zeros
-                comps[(a, b)] = Matrix(p, np.column_stack(cols))
-    embedding = GridMorphism(source, grid, comps)
-    if not (embedding.is_natural() and embedding.is_isomorphism()):
-        raise InvariantViolation("assembled hook embedding failed verification")
-    return HookCertificate(hooks, embedding)
 
 
 def _hook_generators(pres: Presentation, hook: Hook) -> list:
@@ -328,11 +281,48 @@ def _hook_generators(pres: Presentation, hook: Hook) -> list:
     return [vs[k] for k in rref(Matrix(p, pairing)).pivots]
 
 
-def peel_hooks(pres: Presentation, grid: GridModule, betti):
-    """Split a module into hooks; return a verified certificate or None.
+def _blocks_invertible(m: Matrix, row_degs, col_degs) -> bool:
+    """True when, for every degree, the block of `m` between the rows and
+    the columns of that degree is square and invertible."""
+    for d in set(row_degs) | set(col_degs):
+        rows = [i for i, g in enumerate(row_degs) if g == d]
+        cols = [j for j, r in enumerate(col_degs) if r == d]
+        if len(rows) != len(cols) or rank(m.take(rows, cols)) != len(rows):
+            return False
+    return True
 
-    `pres` is a minimal presentation, `grid` its stable grid and `betti` its
-    Betti table.  A hook sum has pd ≤ 1, so β2 ≠ 0 gives None at once.
+
+def _check_smith_form(pres: Presentation, cert: HookCertificate) -> None:
+    """Raise InvariantViolation unless P = `cert.basis` puts C in Smith form.
+
+    For `pres` = coker C minimal, with degrees g_i, r_j and hooks [p_k, q_k):
+    (1) P[i, k] ≠ 0 only if g_i ≤ p_k; (2) each equal-degree block of P is
+    square and invertible, so P is a graded automorphism (Nakayama) with a
+    legal scalar inverse; (3) C′ = P⁻¹C; (4) row k of C′ is zero if hook k
+    is free and otherwise off the columns with r_j ≥ q_k; (5) each
+    equal-degree block of C′ between rows at q_k and columns at r_j is
+    square and invertible.  Then C′ = D·C″ with D = diag(x^(q_k − p_k)) and
+    C″ graded-invertible, so coker C ≅ coker D, the sum of the hooks
+    (Dey–Xin, arXiv:1904.03766).
+    """
+    hooks, basis = cert.hooks, cert.basis
+    births = [h.p for h in hooks]
+    if basis.a[~legal_mask(pres.gens, births)].any() or not _blocks_invertible(basis, pres.gens, births):
+        raise InvariantViolation("hook generators are not a graded basis of the free cover")
+    c2 = solve_matrix(basis, pres.coeffs)
+    bounded = [k for k, h in enumerate(hooks) if not h.is_free]
+    deaths = [hooks[k].q for k in bounded]
+    allowed = np.zeros(c2.shape, dtype=bool)
+    allowed[bounded] = legal_mask(deaths, pres.rels)
+    if c2.a[~allowed].any() or not _blocks_invertible(c2.take(bounded), deaths, pres.rels):
+        raise InvariantViolation("relations in the hook basis are not the hook deaths")
+
+
+def peel_hooks(pres: Presentation, betti):
+    """Split a module into hooks; return a checked certificate or None.
+
+    `pres` is a minimal presentation and `betti` its Betti table.  A hook
+    sum has pd ≤ 1, so β2 ≠ 0 gives None at once.
     Otherwise, for each β0 degree p and each β1 degree q above p, then ∞,
     the multiplicity of H = [p, q) is the rank of the pairing t, v ↦ t_p(v)
     between Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), as End(H) = F_p;
@@ -341,7 +331,9 @@ def peel_hooks(pres: Presentation, grid: GridModule, betti):
     a direct summand, which is all of M when the multiplicities fill β0 at
     every p.  Every summand of a hook sum is born at a β0 degree and dies at
     a β1 degree or ∞, so a p that falls short proves M is not
-    hook-decomposable.  The embedding is re-verified on `grid`.
+    hook-decomposable.  The chosen generators, in `Hook.sort_key` order,
+    are the columns of the certificate's basis, whose Smith form is checked
+    on `pres` (`_check_smith_form`); no grid is built.
     """
     if betti.beta2:
         return None
@@ -353,7 +345,7 @@ def peel_hooks(pres: Presentation, grid: GridModule, betti):
         for q in [q for q in deaths if leq(birth, q) and q != birth] + [(INF, INF)]:
             hook = Hook(birth, q)
             vs = _hook_generators(pres, hook)
-            peeled.extend((hook, grid_coordinates(pres, birth, v)) for v in vs)
+            peeled.extend((hook, v) for v in vs)
             found += len(vs)
             if found >= need[birth]:
                 break
@@ -361,18 +353,21 @@ def peel_hooks(pres: Presentation, grid: GridModule, betti):
             raise InvariantViolation(f"{found} hooks born at {birth} exceed β0 = {need[birth]}")
         if found < need[birth]:
             return None
-    return _assemble_certificate(grid, peeled)
+    peeled.sort(key=lambda hv: hv[0].sort_key())
+    basis = np.array([v for _, v in peeled], dtype=np.int64).reshape(len(peeled), pres.n_gens).T
+    cert = HookCertificate(tuple(h for h, _ in peeled), Matrix(pres.p, basis))
+    _check_smith_form(pres, cert)
+    return cert
 
 
 def hook_decompose(pres: Presentation):
-    """Decide hook-decomposability; return a verified certificate or None.
+    """Decide hook-decomposability; return a checked certificate or None.
 
     Minimizes and compresses, evaluates the stable grid and its Koszul Betti
     table, lets `peel_hooks` count hooks, and maps the hooks back (`expand`).
     """
     cpres, axes = compress(minimize(pres))
-    grid, _ = stable_grid(cpres)
-    cert = peel_hooks(cpres, grid, grid_betti(grid))
+    cert = peel_hooks(cpres, grid_betti(stable_grid(cpres)[0]))
     return None if cert is None else cert.expand(axes)
 
 

@@ -102,11 +102,6 @@ class Resolution:
             _sorted_degrees(self.gens0), _sorted_degrees(self.gens1), _sorted_degrees(self.gens2)
         )
 
-    def degree_bound(self):
-        nx = max([d[0] for d in self.gens0 + self.gens1 + self.gens2], default=0)
-        ny = max([d[1] for d in self.gens0 + self.gens1 + self.gens2], default=0)
-        return (nx, ny)
-
 
 def _koszul_betti(grid: GridModule, a: int, b: int):
     """(β0, β1, β2) at one bidegree from the three-term complex."""
@@ -227,10 +222,17 @@ def syzygy_presentation(pres: Presentation) -> Presentation:
 
 
 def minimal_free_resolution(pres: Presentation) -> Resolution:
-    """Minimal free resolution: minimize for levels 0/1, syzygies for level 2."""
+    """Minimal free resolution: minimize for levels 0/1, syzygies for level 2,
+    computed on `compress` of the minimal presentation and mapped back by
+    `expand`, so their cost follows the number of distinct degrees."""
     m = minimize(pres)
-    syz = syzygy_presentation(m)
-    return Resolution(m.p, m.gens, m.rels, syz.rels, m.coeffs, syz.coeffs)
+    cm, axes = compress(m)
+    syz = syzygy_presentation(cm)
+    # List the level-2 generators as `syzygy_presentation` does on the full
+    # box: by x + y, then x.
+    degs = [expand(d, axes) for d in syz.rels]
+    order = sorted(range(len(degs)), key=lambda j: (degs[j][0] + degs[j][1], degs[j][0]))
+    return Resolution(m.p, m.gens, m.rels, [degs[j] for j in order], m.coeffs, syz.coeffs.take(None, order))
 
 
 def projective_dimension(pres: Presentation) -> int:
@@ -238,7 +240,7 @@ def projective_dimension(pres: Presentation) -> int:
     m = minimize(pres)
     if m.n_rels == 0:
         return 0
-    return 1 if syzygy_presentation(m).n_rels == 0 else 2
+    return 1 if syzygy_presentation(compress(m)[0]).n_rels == 0 else 2
 
 
 def _evaluated_map(p, row_degs, col_degs, coeffs: Matrix, d):
@@ -247,18 +249,19 @@ def _evaluated_map(p, row_degs, col_degs, coeffs: Matrix, d):
     return coeffs.take(ri, cj)
 
 
-def verify_exactness(res: Resolution, box=None) -> bool:
-    """Degreewise exactness of 0 → F2 → F1 → F0 → M → 0 on a grid box.
+def verify_exactness(res: Resolution) -> bool:
+    """Degreewise exactness of 0 → F2 → F1 → F0 → M → 0.
 
     At each degree the evaluated maps must satisfy: D2 injective, rank D2 =
     dim ker D1, and dim coker D1 equal to the module dimension (recomputed
-    from the level-0/1 data as a presentation).
+    from the level-0/1 data as a presentation).  The maps change only at the
+    distinct x- and y-coordinates of the degrees, and vanish below them, so
+    only the degrees on those coordinates are visited.
     """
-    if box is None:
-        bound = res.degree_bound()
-        box = (bound[0] + 1, bound[1] + 1)
+    degrees = res.gens0 + res.gens1 + res.gens2
+    xs, ys = (sorted({d[k] for d in degrees}) for k in (0, 1))
     level0 = Presentation(res.p, res.gens0, res.gens1, res.d1)
-    for d in box_degrees(box):
+    for d in [(x, y) for x in xs for y in ys]:
         dim0 = sum(1 for g in res.gens0 if leq(g, d))
         dim1 = sum(1 for g in res.gens1 if leq(g, d))
         dim2 = sum(1 for g in res.gens2 if leq(g, d))

@@ -9,7 +9,7 @@ import pytest
 import bipers.bigraded
 import bipers.decomposition
 import bipers.resolution
-from bipers.bigraded import Hook, Presentation, minimize, stable_grid
+from bipers.bigraded import INF, Hook, Presentation, compress, direct_sum, leq, minimize, stable_grid
 from bipers.classify import (
     ClassificationReport,
     check_implications,
@@ -18,8 +18,10 @@ from bipers.classify import (
     report_to_json,
     verify_certificate,
 )
-from bipers.decomposition import hook_decompose, peel_hooks
-from bipers.generators import RandomSpec, free_module, gallery, random_module
+from bipers.decomposition import GridMorphism, _check_smith_form, hook_decompose, peel_hooks
+from bipers.errors import InvariantViolation
+from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, hook_module, random_module
+from bipers.linalg import Matrix
 from bipers.resolution import BettiTable, grid_betti
 
 
@@ -100,8 +102,11 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
     originals = {
         "minimize": bipers.bigraded.minimize,
         "stable_grid": bipers.bigraded.stable_grid,
+        "to_grid": bipers.bigraded.to_grid,
         "syzygy_presentation": bipers.resolution.syzygy_presentation,
         "hom_basis": bipers.decomposition.hom_basis,
+        "hook_grid": bipers.decomposition.hook_grid,
+        "_propagate": bipers.decomposition._propagate,
     }
     calls = Counter()
 
@@ -112,16 +117,17 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
 
         return wrapper
 
-    # Wrap every binding of the three functions in every bipers module.
+    # Wrap every binding of these functions in every bipers module.
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "bipers" or mod_name.startswith("bipers."):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counting(name, fn))
+    monkeypatch.setattr(GridMorphism, "__init__", counting("GridMorphism", GridMorphism.__init__))
     report = classify(pres)
     assert report.projective_dimension == pd
     assert report.hook_decomposable == (pd == 1)
-    assert calls == Counter(minimize=1, stable_grid=1)
+    assert calls == Counter(minimize=1, stable_grid=1, to_grid=1)
 
 
 def test_padded_staircase_betti_table():
@@ -243,7 +249,7 @@ def test_compressed_classify_matches_the_full_grid(p, stretch):
         grid, _ = stable_grid(mpres)
         bt = grid_betti(grid)
         assert rep.betti == bt
-        cert = peel_hooks(mpres, grid, bt)
+        cert = peel_hooks(mpres, bt)
         assert (cert is None) == (rep.certificate is None)
         if cert is not None:
             assert Counter(rep.certificate.hooks) == Counter(cert.hooks)
@@ -254,3 +260,62 @@ def test_certificate_with_a_corner_off_the_axes_is_rejected():
     cert = classify(pres).certificate
     moved = dataclasses.replace(cert, hooks=(Hook((0, 0), (2, 2)),))
     assert verify_certificate(pres, moved) is False
+
+
+# ------------------------------------------------------------ broken certificates
+
+SCRAMBLED_TRIPLE = _scramble(
+    direct_sum(*[hook_module(h, 3) for h in (Hook((0, 0), (2, 1)), Hook((1, 1), (3, 3)), Hook((1, 0), (INF, INF)))]),
+    SplitMix64(31),
+)
+
+
+def _compressed_certificate(pres):
+    """The certificate of `pres` before its hooks are mapped back."""
+    cpres, axes = compress(minimize(pres))
+    return cpres, axes, peel_hooks(cpres, grid_betti(stable_grid(cpres)[0]))
+
+
+@pytest.mark.parametrize("pres", [gallery("remark2-hilbert-twin"), SCRAMBLED_TRIPLE], ids=["twin", "scrambled-triple"])
+@pytest.mark.parametrize("entry", ["singular", "illegal"])
+def test_a_broken_basis_is_rejected_by_both_checks(pres, entry):
+    cpres, axes, cert = _compressed_certificate(pres)
+    births = [h.p for h in cert.hooks]
+    basis = cert.basis.a.copy()
+    if entry == "singular":
+        # Every birth carries one generator, so its 1 × 1 block is the entry.
+        i, k = next((i, k) for k, b in enumerate(births) for i, g in enumerate(cpres.gens) if g == b)
+        assert cpres.gens.count(births[k]) == 1 and basis[i, k]
+        basis[i, k] = 0
+    else:
+        # A generator not born by the hook's birth; the grid has no
+        # coordinate for it there.
+        i, k = next((i, k) for k, b in enumerate(births) for i, g in enumerate(cpres.gens) if not leq(g, b))
+        basis[i, k] = 1
+    broken = dataclasses.replace(cert, basis=Matrix(cpres.p, basis))
+    _check_smith_form(cpres, cert)
+    assert verify_certificate(pres, cert.expand(axes)) is True
+    with pytest.raises(InvariantViolation):
+        _check_smith_form(cpres, broken)
+    assert verify_certificate(pres, broken.expand(axes)) is False
+
+
+def test_a_certificate_is_rejected_after_one_coefficient_changes():
+    pres = gallery("remark2-hilbert-twin")  # gens (0, 1), (1, 0); C = [[1], [0]]
+    _, axes, cert = _compressed_certificate(pres)
+    glued = Presentation(pres.p, pres.gens, pres.rels, [[1], [1]])  # pd1-not-hook
+    assert minimize(glued) == glued and compress(glued) == (glued, axes)
+    assert not classify(glued).hook_decomposable
+    with pytest.raises(InvariantViolation):
+        _check_smith_form(glued, cert)
+    assert verify_certificate(glued, cert.expand(axes)) is False
+
+
+def test_a_certificate_with_an_early_death_is_rejected():
+    # x·y²·g = 0 claimed as the strip x·g = 0, with the same basis P = [1].
+    pres = Presentation(2, [(0, 0)], [(1, 2)], [[1]])
+    cpres, axes, cert = _compressed_certificate(pres)
+    early = dataclasses.replace(cert, hooks=(Hook((0, 0), (1, 0)),))
+    with pytest.raises(InvariantViolation):
+        _check_smith_form(cpres, early)
+    assert verify_certificate(pres, early.expand(axes)) is False

@@ -17,7 +17,6 @@ from bipers.classify import classify, verify_certificate
 from bipers.decomposition import (
     GridMorphism,
     decompose_oracle,
-    grid_direct_sum,
     hom_basis,
     hook_decompose,
     hook_grid,
@@ -271,7 +270,7 @@ def test_peel_hooks_rejects_nonzero_beta2():
     mpres = minimize(gallery("koszul-point"))
     grid, _ = stable_grid(mpres)
     assert grid_betti(grid).beta2
-    assert peel_hooks(mpres, grid, grid_betti(grid)) is None
+    assert peel_hooks(mpres, grid_betti(grid)) is None
 
 
 def _pairing_rank_on_grid(grid, hook):
@@ -359,15 +358,3 @@ def test_oracle_summands_preserve_total_dimension():
     summands = decompose_oracle(grid)
     total = sum(s.dims for s in summands)
     assert (total == grid.dims).all()
-
-
-# -------------------------------------------------------------- direct sums
-
-
-def test_grid_direct_sum_dims_and_commutativity():
-    box = (3, 3)
-    g1 = hook_grid(Hook((0, 0), (1, 2)), 2, box)
-    g2 = hook_grid(Hook((1, 1), (INF, INF)), 2, box)
-    s = grid_direct_sum([g1, g2], 2, box)
-    assert (s.dims == g1.dims + g2.dims).all()
-    s._check()  # shape and commutativity pass

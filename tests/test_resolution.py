@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from bipers.bigraded import (
     Hook,
     Presentation,
     classification_box,
+    direct_sum,
     hilbert_function,
     leq,
     minimize,
@@ -190,6 +192,46 @@ def test_exactness_remark2_without_level2():
 def test_exactness_always_holds_for_minimal_resolutions(seed):
     pres = random_module(RandomSpec("arbitrary", seed=400 + seed))
     assert verify_exactness(minimal_free_resolution(pres))
+
+
+D = 10**6
+
+
+@pytest.mark.parametrize(
+    "pres, beta2",
+    [
+        (Presentation(2, [(0, 0)], [(D, 1)], [[1]]), ()),
+        (Presentation(2, [(0, 0)], [(D, 0), (0, D)], [[1, 1]]), ((D, D),)),
+    ],
+    ids=["hook", "koszul-point"],
+)
+def test_resolution_at_a_large_degree(pres, beta2):
+    # Syzygies and exactness follow the number of distinct degrees.
+    t = time.perf_counter()
+    res = minimal_free_resolution(pres)
+    assert verify_exactness(res)
+    assert time.perf_counter() - t < 0.1
+    assert res.betti() == BettiTable(pres.gens, tuple(sorted(pres.rels)), beta2)
+
+
+def _koszul_point(p, g, dx, dy):
+    return Presentation(p, [g], [(g[0] + dx, g[1]), (g[0], g[1] + dy)], [[1, 1]])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_compressed_syzygies_match_the_full_box(p):
+    # The full-box syzygy route stays the reference for the level-2 map,
+    # columns in order.  In the pair, β2 at (1, 10) precedes (6, 1) on the
+    # compressed grid but follows it on the full one.
+    modules = [direct_sum(_koszul_point(p, (0, 0), 1, 10), _koszul_point(p, (5, 0), 1, 1))]
+    for seed in range(50):
+        pres = random_module(RandomSpec("arbitrary", max_degree=2, seed=seed), p=p)
+        stretch = lambda degrees: [(10 * x + 3, y) for x, y in degrees]
+        modules.append(Presentation(p, stretch(pres.gens), stretch(pres.rels), pres.coeffs))
+    for k, module in enumerate(modules):
+        full = syzygy_presentation(minimize(module))
+        res = minimal_free_resolution(module)
+        assert (res.gens2, res.d2) == (full.rels, full.coeffs), k
 
 
 # ------------------------------------------------- projective dimension

@@ -1,0 +1,96 @@
+"""Byte-identity probe: `classify` JSON of this tree against another tree.
+
+Usage::
+
+    python3 tools/json_identity.py <other-src-dir>
+
+`<other-src-dir>` is the directory that holds the other tree's `bipers`
+package, for example `src/` of a `git archive` export of the parent commit.
+Both trees classify the same 934 `.bpm` inputs, built by this tree:
+
+* the 8 gallery modules at p ∈ {2, 3, 65521}, coefficients reduced mod p;
+* the first 200 modules of each benchmark corpus (`bench/corpora.py`) at
+  seed 7;
+* seeds 0–9 of the hook-sum sweep ``max_hooks=12, max_degree=16`` at p = 2;
+* 300 `arbitrary` modules (``max_gens=max_rels=5``, seeds 0–299) at p = 3.
+
+Each tree parses the text itself and renders `report_to_json` without
+`timings`.  The script prints the number of inputs whose JSON differs and
+the number of this tree's certificates that fail `verify_certificate`, and
+exits 1 when either is nonzero.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.dont_write_bytecode = True  # leave no caches beside bench/corpora.py
+
+import corpora  # noqa: E402
+from bipers import Matrix, Presentation, RandomSpec, gallery, gallery_names, random_module  # noqa: E402
+from bipers.classify import classify, report_to_json, verify_certificate  # noqa: E402
+from bipers.cli import parse_module_file, presentation_to_bpm  # noqa: E402
+
+CORPUS_PREFIX = 200
+CORPUS_SEED = 7
+
+
+def load_other(src_dir: Path):
+    """Import the `bipers` package under `src_dir` as `other_bipers`;
+    returns its `cli` module and its top-level package."""
+    package = src_dir / "bipers"
+    spec = importlib.util.spec_from_file_location(
+        "other_bipers", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["other_bipers"] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("other_bipers.cli"), module
+
+
+def inputs():
+    """The 934 probe inputs as `.bpm` text, in a fixed order."""
+    texts = []
+    for p in (2, 3, 65521):
+        for name in gallery_names():
+            g = gallery(name)
+            texts.append(presentation_to_bpm(Presentation(p, g.gens, g.rels, Matrix(p, g.coeffs.a))))
+    for workload in corpora.WORKLOADS:
+        texts.extend(case.text for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX))
+    for seed in range(10):
+        spec = RandomSpec("hook_sum_scrambled", max_hooks=12, max_degree=16, seed=seed)
+        texts.append(presentation_to_bpm(random_module(spec)))
+    for seed in range(300):
+        spec = RandomSpec("arbitrary", max_gens=5, max_rels=5, seed=seed)
+        texts.append(presentation_to_bpm(random_module(spec, p=3)))
+    return texts
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    other_cli, other = load_other(Path(argv[0]).resolve())
+    texts = inputs()
+    differing = unverified = 0
+    t0 = time.perf_counter()
+    for text in texts:
+        pres = parse_module_file(text)
+        report = classify(pres)
+        if report.certificate is not None and not verify_certificate(pres, report.certificate):
+            unverified += 1
+        mine = report_to_json(report, include_timings=False)
+        theirs = other.report_to_json(other.classify(other_cli.parse_module_file(text)), include_timings=False)
+        differing += mine != theirs
+    print(f"inputs {len(texts)}  differing {differing}  failed_verify {unverified}  "
+          f"seconds {time.perf_counter() - t0:.1f}")
+    return 1 if differing or unverified else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
