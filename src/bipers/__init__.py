@@ -29,12 +29,10 @@ from .classify import (
     verify_certificate,
 )
 from .decomposition import (
-    GridMorphism,
     HookCertificate,
     decompose_oracle,
     hom_basis,
     hook_decompose,
-    hook_grid,
     hook_profile,
     peel_hooks,
 )

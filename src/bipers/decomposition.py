@@ -1,11 +1,13 @@
 """Direct-sum structure of grid modules.
 
-Contains the morphism machinery (hom spaces as natural-transformation
-kernels), hook recognition from support shape, the hook decomposition by
-counting hook multiplicities as pairing ranks read off the minimal
-presentation, with certificates checked by their Smith form on that same
-presentation, and a deliberately brute-force cross-validation oracle that
-splits along idempotent endomorphisms found by exhaustive enumeration.
+Contains the hook decomposition, which counts hook multiplicities as
+pairing ranks read off the minimal presentation and checks its certificate
+by its Smith form on that same presentation, and the independent grid
+routes: hook recognition from support shape, hom spaces as
+natural-transformation kernels, and a deliberately brute-force
+cross-validation oracle that splits along idempotent endomorphisms found by
+exhaustive enumeration.  A morphism of grid modules is a plain dict
+{grid point: component Matrix} over every point of the box.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from .bigraded import (
     legal_mask,
     minimize,
     stable_grid,
-    to_grid,
 )
 from .errors import InvariantViolation, ThresholdExceeded
-from .generators import hook_module
 from .linalg import (
     Matrix,
     kernel_basis,
@@ -43,66 +43,6 @@ from .resolution import grid_betti
 DEFAULT_ENDO_THRESHOLD = 16
 # Endomorphism coefficient vectors tested per vectorized batch by the oracle.
 _IDEMPOTENT_CHUNK = 2048
-
-
-class GridMorphism:
-    """Natural transformation between grid modules on a shared box.
-
-    Stores one component matrix per grid point, mapping source fibers to
-    target fibers; naturality (commutation with every horizontal and
-    vertical structure map) is checkable but not enforced on construction
-    so that candidate morphisms can be represented too.
-    """
-
-    __slots__ = ("source", "target", "comps")
-
-    def __init__(self, source: GridModule, target: GridModule, comps):
-        if source.p != target.p or source.box != target.box:
-            raise ValueError("source and target must share field and box")
-        self.source = source
-        self.target = target
-        self.comps = {pt: m for pt, m in comps.items()}
-        bx, by = source.box
-        for a in range(bx + 1):
-            for b in range(by + 1):
-                m = self.comps.get((a, b))
-                if m is None:
-                    m = Matrix.zeros(source.p, target.dim(a, b), source.dim(a, b))
-                    self.comps[(a, b)] = m
-                if m.shape != (target.dim(a, b), source.dim(a, b)):
-                    raise ValueError(f"component at {(a, b)} has shape {m.shape}")
-
-    def at(self, a, b) -> Matrix:
-        return self.comps[(a, b)]
-
-    def is_natural(self) -> bool:
-        bx, by = self.source.box
-        for a in range(bx + 1):
-            for b in range(by + 1):
-                if a < bx:
-                    if self.at(a + 1, b) @ self.source.hmap(a, b) != self.target.hmap(a, b) @ self.at(a, b):
-                        return False
-                if b < by:
-                    if self.at(a, b + 1) @ self.source.vmap(a, b) != self.target.vmap(a, b) @ self.at(a, b):
-                        return False
-        return True
-
-    def is_isomorphism(self) -> bool:
-        bx, by = self.source.box
-        for a in range(bx + 1):
-            for b in range(by + 1):
-                m = self.at(a, b)
-                if m.rows != m.cols or rank(m) != m.rows:
-                    return False
-        return True
-
-    @classmethod
-    def identity(cls, grid: GridModule) -> "GridMorphism":
-        return cls(grid, grid, {
-            (a, b): Matrix.identity(grid.p, grid.dim(a, b))
-            for a in range(grid.box[0] + 1)
-            for b in range(grid.box[1] + 1)
-        })
 
 
 @dataclass(frozen=True)
@@ -146,8 +86,9 @@ def hom_basis(M: GridModule, N: GridModule) -> list:
     """Basis of the space of natural transformations M → N.
 
     Solves the linear system expressing commutation with every structure
-    map; the basis order is fixed by the kernel computation, so results are
-    deterministic.
+    map.  Each basis element is a dict {grid point: component Matrix}
+    mapping M's fibre to N's, with one entry per point of the box; the basis
+    order is fixed by the kernel computation, so results are deterministic.
     """
     if M.p != N.p or M.box != N.box:
         raise ValueError("hom requires a common field and box")
@@ -181,14 +122,11 @@ def hom_basis(M: GridModule, N: GridModule) -> list:
         blocks.append(block)
 
     system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=np.int64)
-    basis = []
-    for vec in kernel_basis(Matrix(p, system)):
-        comps = {}
-        for pt in points:
-            n, m = N.dim(*pt), M.dim(*pt)
-            comps[pt] = Matrix(p, vec[offset[pt] : offset[pt] + n * m].reshape(n, m))
-        basis.append(GridMorphism(M, N, comps))
-    return basis
+    shapes = {pt: (N.dim(*pt), M.dim(*pt)) for pt in points}
+    return [
+        {pt: Matrix(p, vec[offset[pt] : offset[pt] + n * m].reshape(n, m)) for pt, (n, m) in shapes.items()}
+        for vec in kernel_basis(Matrix(p, system))
+    ]
 
 
 def hook_profile(M: GridModule):
@@ -231,10 +169,6 @@ def hook_profile(M: GridModule):
             if not m.a[0, 0]:
                 return None
     return hook
-
-
-def hook_grid(hook: Hook, p, box) -> GridModule:
-    return to_grid(hook_module(hook, p), box)
 
 
 def _propagate(M: GridModule, start, v):
@@ -371,15 +305,16 @@ def hook_decompose(pres: Presentation):
     return None if cert is None else cert.expand(axes)
 
 
-def _image_subgrid(M: GridModule, e: GridMorphism):
-    """Image of an idempotent endomorphism with its induced maps."""
+def _image_subgrid(M: GridModule, e: dict):
+    """Image of an idempotent endomorphism, given by its components, with
+    its induced maps."""
     p = M.p
     bx, by = M.box
     basis = {}
     dims = np.zeros((bx + 1, by + 1), dtype=np.int64)
     for a in range(bx + 1):
         for b in range(by + 1):
-            m = e.at(a, b)
+            m = e[(a, b)]
             piv = rref(m).pivots  # pivot columns of m are a column-space basis
             sel = m.a[:, list(piv)] if piv else np.zeros((m.rows, 0), dtype=np.int64)
             basis[(a, b)] = Matrix(p, sel)
@@ -397,8 +332,9 @@ def _image_subgrid(M: GridModule, e: GridMorphism):
 
 
 def _find_nontrivial_idempotent(M: GridModule, basis):
-    """First nonzero, non-identity idempotent endomorphism in coefficient
-    lexicographic order, or None if only trivial idempotents exist."""
+    """Components of the first nonzero, non-identity idempotent
+    endomorphism in coefficient lexicographic order, or None if only
+    trivial idempotents exist."""
     p = M.p
     dim = len(basis)
     points = [
@@ -408,7 +344,7 @@ def _find_nontrivial_idempotent(M: GridModule, basis):
         if M.dim(a, b) > 0
     ]
     stacks = {
-        pt: np.stack([t.at(*pt).a for t in basis]).reshape(dim, -1) for pt in points
+        pt: np.stack([t[pt].a for t in basis]).reshape(dim, -1) for pt in points
     }
     eyes = {pt: np.eye(M.dim(*pt), dtype=np.int64) for pt in points}
 
@@ -432,15 +368,8 @@ def _find_nontrivial_idempotent(M: GridModule, basis):
         hits = np.nonzero(ok & ~is_id)[0]
         if hits.size:
             coeffs = rows[int(hits[0])]
-            comps = {}
-            for pt in points:
-                n = M.dim(*pt)
-                acc = np.zeros((n, n), dtype=np.int64)
-                for coeff, t in zip(coeffs, basis):
-                    if coeff:
-                        acc += coeff * t.at(*pt).a
-                comps[pt] = Matrix(p, acc)
-            return GridMorphism(M, M, comps)
+            # Every point of the box, so empty fibres get 0 × 0 components.
+            return {pt: Matrix(p, sum(c * t[pt].a for c, t in zip(coeffs, basis))) for pt in basis[0]}
 
 
 def decompose_oracle(M: GridModule, threshold: int = DEFAULT_ENDO_THRESHOLD):
@@ -466,12 +395,7 @@ def decompose_oracle(M: GridModule, threshold: int = DEFAULT_ENDO_THRESHOLD):
     e = _find_nontrivial_idempotent(M, basis)
     if e is None:
         return [M]
-    complement_comps = {}
-    for a in range(M.box[0] + 1):
-        for b in range(M.box[1] + 1):
-            eye = np.eye(M.dim(a, b), dtype=np.int64)
-            complement_comps[(a, b)] = Matrix(M.p, eye - e.at(a, b).a)
-    one_minus = GridMorphism(M, M, complement_comps)
+    one_minus = {pt: Matrix(M.p, np.eye(m.rows, dtype=np.int64) - m.a) for pt, m in e.items()}
     out = []
     for part in (_image_subgrid(M, e), _image_subgrid(M, one_minus)):
         out.extend(decompose_oracle(part, threshold))

@@ -18,7 +18,7 @@ from bipers.classify import (
     report_to_json,
     verify_certificate,
 )
-from bipers.decomposition import GridMorphism, _check_smith_form, hook_decompose, peel_hooks
+from bipers.decomposition import _check_smith_form, hook_decompose, peel_hooks
 from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
@@ -105,7 +105,6 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
         "to_grid": bipers.bigraded.to_grid,
         "syzygy_presentation": bipers.resolution.syzygy_presentation,
         "hom_basis": bipers.decomposition.hom_basis,
-        "hook_grid": bipers.decomposition.hook_grid,
         "_propagate": bipers.decomposition._propagate,
     }
     calls = Counter()
@@ -123,7 +122,6 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counting(name, fn))
-    monkeypatch.setattr(GridMorphism, "__init__", counting("GridMorphism", GridMorphism.__init__))
     report = classify(pres)
     assert report.projective_dimension == pd
     assert report.hook_decomposable == (pd == 1)

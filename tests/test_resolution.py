@@ -168,6 +168,12 @@ def test_resolution_rejects_nonzero_composition():
         Resolution(2, [(0, 0)], [(1, 0)], [(1, 1)], Matrix(2, [[1]]), Matrix(2, [[1]]))
 
 
+def test_resolution_rejects_illegal_level1_entry():
+    # (0, 1) is not ≤ (1, 0): no monomial carries the second generator there.
+    with pytest.raises(ValueError, match=r"illegal map entry at \(1, 0\)"):
+        Resolution(2, [(0, 0), (0, 1)], [(1, 0)], [], Matrix(2, [[1], [1]]), Matrix.zeros(2, 1, 0))
+
+
 # --------------------------------------------------------------- exactness
 
 
@@ -248,6 +254,20 @@ def test_pd_of_remark2():
 
 def test_pd_of_koszul_point():
     assert projective_dimension(gallery("koszul-point")) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pd_rank_rule_matches_the_syzygy_route(p):
+    # One rank call on the minimal presentation against the level-2
+    # generators of the explicit resolution.
+    seen = set()
+    for seed in range(150):
+        pres = random_module(RandomSpec("arbitrary", max_gens=3, max_rels=6, max_degree=3, seed=2600 + seed), p=p)
+        res = minimal_free_resolution(pres)
+        expected = 0 if not res.gens1 else (2 if res.gens2 != () else 1)
+        assert projective_dimension(pres) == expected, seed
+        seen.add(expected)
+    assert seen == {0, 1, 2}
 
 
 # ------------------------------------------------------------- invariants
