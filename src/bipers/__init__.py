@@ -41,6 +41,7 @@ from .errors import (
     BoxTooSmall,
     BpmSyntaxError,
     IllegalEntry,
+    InvalidSpec,
     InvariantViolation,
     NonPrimeModulus,
     ThresholdExceeded,

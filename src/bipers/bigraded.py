@@ -44,6 +44,8 @@ def join(a, b):
 
 def _check_finite_degree(d):
     x, y = d
+    if type(x) is int and type(y) is int and x >= 0 and y >= 0:
+        return (x, y)
     if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))):
         raise ValueError(f"degree must have integer coordinates, got {d!r}")
     if x < 0 or y < 0:

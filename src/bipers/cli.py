@@ -148,12 +148,8 @@ def presentation_to_bpm(pres: Presentation, gen_names=None) -> str:
     lines = [f"field {pres.p}"]
     for name, (x, y) in zip(gen_names, pres.gens):
         lines.append(f"gen {name} {x} {y}")
-    for j, (x, y) in enumerate(pres.rels):
-        terms = [
-            f"{int(pres.coeffs.a[i, j])}*{gen_names[i]}"
-            for i in range(pres.n_gens)
-            if pres.coeffs.a[i, j]
-        ]
+    for j, ((x, y), column) in enumerate(zip(pres.rels, pres.coeffs.a.T.tolist())):
+        terms = [f"{v}*{name}" for name, v in zip(gen_names, column) if v]
         rhs = " + ".join(terms) if terms else "0"
         lines.append(f"rel r{j} {x} {y} : {rhs}")
     return "\n".join(lines) + "\n"

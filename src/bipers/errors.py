@@ -21,6 +21,10 @@ class UnknownName(BipersError):
     """No gallery module is registered under the requested name."""
 
 
+class InvalidSpec(BipersError, ValueError):
+    """A random-generation spec names an unknown mode or a bound below 1."""
+
+
 class ThresholdExceeded(BipersError):
     """The brute-force decomposition oracle refused an oversized instance."""
 

@@ -4,7 +4,10 @@ The gallery collects small fixed modules witnessing every region of the
 classification (free, hook-decomposable but not free, projective dimension
 1 but not hook-decomposable, projective dimension 2).  Random generation is
 deterministic in the seed and uses a fixed splitmix64 stream so corpora are
-reproducible across platforms.
+reproducible across platforms.  The stream is frozen: a seed gives the same
+`.bpm` text on every version, and draws taken as one block (`peek`) are the
+same values, in the same order, that single draws would give.
+`tests/test_generators.py` pins a digest of the output.
 """
 
 from __future__ import annotations
@@ -23,14 +26,22 @@ from .bigraded import (
     leq,
     validate,
 )
-from .errors import UnknownName
+from .errors import InvalidSpec, UnknownName
 from .linalg import Matrix
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """splitmix64 pseudo-random stream; fixed algorithm for reproducibility."""
+    """splitmix64 pseudo-random stream; fixed algorithm for reproducibility.
+
+    The stream is a counter: draw t (from 1) mixes ``state + t·γ``, so a
+    block of upcoming draws can be computed at once (`peek`) and then
+    consumed (`skip`) without changing any later draw.
+    """
 
     __slots__ = ("state",)
 
@@ -38,15 +49,25 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64)  # every output is below 2**64
 
     def below(self, n: int) -> int:
         """Uniform-ish value in [0, n); modulo bias is irrelevant here."""
-        return self.next_u64() % n
+        self.state = z = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return (z ^ (z >> 31)) % n
+
+    def peek(self, k: int) -> list:
+        """The next k outputs of `next_u64` as ints, without consuming them."""
+        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return (z ^ (z >> np.uint64(31))).tolist()
+
+    def skip(self, k: int) -> None:
+        """Consume k draws without computing them."""
+        self.state = (self.state + k * _GAMMA) & _MASK64
 
     def shuffle(self, items: list) -> list:
         for i in range(len(items) - 1, 0, -1):
@@ -70,9 +91,9 @@ class RandomSpec:
 
     def __post_init__(self):
         if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
+            raise InvalidSpec(f"mode must be one of {self._MODES}, got {self.mode!r}")
         if min(self.max_gens, self.max_rels, self.max_degree, self.max_hooks) < 1:
-            raise ValueError("all bounds must be positive")
+            raise InvalidSpec("all bounds must be positive")
 
 
 def free_module(births, p=DEFAULT_FIELD) -> Presentation:
@@ -194,38 +215,53 @@ def _scramble(pres: Presentation, rng: SplitMix64) -> Presentation:
     (the multiplier monomial is then legal); column operations dually merge
     relations upward in degree.  Unit scalings and permutations are also
     applied.  The isomorphism class is preserved exactly.
+
+    Each of the 3(n + m) operations draws a choice and, when it applies,
+    a pair and a factor; the draws come as one block from `peek`, and the
+    stream then skips exactly the draws used, as if `below` had made them.
     """
     p = pres.p
-    gens = list(pres.gens)
-    rels = list(pres.rels)
-    c = pres.coeffs.a.copy()
+    gens, rels = pres.gens, pres.rels
+    c = pres.coeffs.a.tolist()
     n, m = len(gens), len(rels)
 
-    row_pairs = [(k, i) for k in range(n) for i in range(n) if k != i and leq(gens[k], gens[i])]
-    col_pairs = [(j, j2) for j in range(m) for j2 in range(m) if j != j2 and leq(rels[j], rels[j2])]
+    row_pairs = [(k, i) for k, a in enumerate(gens) for i, b in enumerate(gens)
+                 if k != i and a[0] <= b[0] and a[1] <= b[1]]
+    col_pairs = [(j, j2) for j, a in enumerate(rels) for j2, b in enumerate(rels)
+                 if j != j2 and a[0] <= b[0] and a[1] <= b[1]]
     ops = 3 * (n + m)
+    draws = rng.peek(3 * ops + (n + m if p > 2 else 0))
+    t = 0
     for _ in range(ops):
-        choice = rng.below(2)
+        choice = draws[t] % 2
+        t += 1
         if choice == 0 and row_pairs:
-            k, i = row_pairs[rng.below(len(row_pairs))]
-            f = 1 + rng.below(p - 1)
-            c[k] = (c[k] + f * c[i]) % p
+            k, i = row_pairs[draws[t] % len(row_pairs)]
+            f = 1 + draws[t + 1] % (p - 1)
+            t += 2
+            c[k] = [(a + f * b) % p for a, b in zip(c[k], c[i])]
         elif col_pairs:
-            j, j2 = col_pairs[rng.below(len(col_pairs))]
-            f = 1 + rng.below(p - 1)
-            c[:, j2] = (c[:, j2] + f * c[:, j]) % p
+            j, j2 = col_pairs[draws[t] % len(col_pairs)]
+            f = 1 + draws[t + 1] % (p - 1)
+            t += 2
+            for row in c:
+                row[j2] = (row[j2] + f * row[j]) % p
     if p > 2:
         for i in range(n):
-            c[i] = (c[i] * (1 + rng.below(p - 1))) % p
+            f = 1 + draws[t] % (p - 1)
+            t += 1
+            c[i] = [a * f % p for a in c[i]]
         for j in range(m):
-            c[:, j] = (c[:, j] * (1 + rng.below(p - 1))) % p
+            f = 1 + draws[t] % (p - 1)
+            t += 1
+            for row in c:
+                row[j] = row[j] * f % p
+    rng.skip(t)
 
     gperm = rng.shuffle(list(range(n)))
     rperm = rng.shuffle(list(range(m)))
-    gens = [gens[i] for i in gperm]
-    rels = [rels[j] for j in rperm]
-    c = c[np.asarray(gperm, dtype=np.intp), :][:, np.asarray(rperm, dtype=np.intp)] if n and m else c
-    return Presentation(p, gens, rels, Matrix(p, c.reshape(len(gens), len(rels))))
+    coeffs = [[c[i][j] for j in rperm] for i in gperm]
+    return Presentation(p, [gens[i] for i in gperm], [rels[j] for j in rperm], coeffs)
 
 
 def random_module(spec: RandomSpec, p=DEFAULT_FIELD) -> Presentation:
@@ -256,9 +292,5 @@ def random_module(spec: RandomSpec, p=DEFAULT_FIELD) -> Presentation:
     m = rng.below(spec.max_rels + 1) if n else 0
     gens = [_random_degree(rng, spec.max_degree) for _ in range(n)]
     rels = [_random_degree(rng, spec.max_degree) for _ in range(m)]
-    c = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            if leq(gens[i], rels[j]):
-                c[i, j] = rng.below(p)
-    return validate(Presentation(p, gens, rels, Matrix(p, c)))
+    c = [[rng.below(p) if leq(g, r) else 0 for r in rels] for g in gens]
+    return validate(Presentation(p, gens, rels, c))

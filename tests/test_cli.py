@@ -197,6 +197,14 @@ def test_random_then_classify(tmp_path, capsys):
     assert report["hook_decomposable"] is True
 
 
+@pytest.mark.parametrize("flags", [["--max-gens", "0"], ["--mode", "hook-sum", "--max-degree", "0"]])
+def test_random_bad_bounds_exit_2(flags, capsys):
+    assert main(["random", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bipers: error: all bounds must be positive\n"
+
+
 def test_corpus_runs_and_is_reproducible(tmp_path, capsys):
     paths = []
     for seed in (1, 2, 3):

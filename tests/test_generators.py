@@ -1,12 +1,16 @@
+import hashlib
+
 import pytest
 
-from bipers.bigraded import INF, Bar, Hook, classification_box, hilbert_function
+from bipers.bigraded import INF, Bar, Hook, Presentation, classification_box, direct_sum, hilbert_function
 from bipers.classify import check_implications, classify
 from bipers.decomposition import decompose_oracle, hook_decompose
+from bipers.cli import presentation_to_bpm
 from bipers.errors import UnknownName
 from bipers.generators import (
     RandomSpec,
     SplitMix64,
+    _scramble,
     free_module,
     gallery,
     gallery_names,
@@ -106,6 +110,19 @@ def test_splitmix64_reference_values():
     assert rng.next_u64() == 0x06C45D188009454F
 
 
+@pytest.mark.parametrize("seed", [2**64 - 3, 0, 12345])
+def test_block_draws_match_single_draws(seed):
+    # From 2**64 - 3 the counter wraps past 2**64 inside the block.
+    block, single = SplitMix64(seed), SplitMix64(seed)
+    draws = block.peek(8)
+    assert block.state == single.state  # peek consumes nothing
+    assert draws == [single.next_u64() for _ in range(8)]
+    block.skip(8)
+    assert block.state == single.state
+    assert block.peek(0) == []
+    assert SplitMix64(seed).below(1009) == SplitMix64(seed).next_u64() % 1009
+
+
 def test_random_module_deterministic_in_seed():
     spec = RandomSpec("arbitrary", seed=123)
     assert random_module(spec) == random_module(spec)
@@ -152,3 +169,44 @@ def test_random_spec_validation():
         RandomSpec("nonsense")
     with pytest.raises(ValueError):
         RandomSpec("free", max_gens=0)
+
+
+def _scramble_fixtures(p):
+    """Sums that reach every draw path of `_scramble` at field p."""
+    return [
+        # Both pair lists non-empty.
+        direct_sum(hook_module(Hook((0, 0), (2, 2)), p), hook_module(Hook((1, 1), (3, 3)), p),
+                   hook_module(Hook((1, 0), (INF, INF)), p)),
+        # No row pairs (incomparable generators): every op takes 3 draws.
+        Presentation(p, [(0, 1), (1, 0)], [(1, 1), (2, 2)], [[1, 0], [p - 1, 1]]),
+        # No column pairs (incomparable relations): an op takes 1 or 3 draws.
+        Presentation(p, [(0, 0), (1, 1)], [(2, 3), (3, 2)], [[1, 0], [1, 1]]),
+        # Neither: every op takes 1 draw.
+        Presentation(p, [(0, 1), (1, 0)], [(0, 2), (2, 0)], [[1, 0], [0, 1]]),
+        # n = 0 (relations with no terms), m = 0 (free), and n = m = 0.
+        Presentation(p, [], [(1, 1), (2, 2), (0, 3)]),
+        free_module([(0, 0), (1, 1), (0, 2), (2, 0)], p),
+        Presentation(p, [], []),
+    ]
+
+
+def test_generated_streams_are_frozen():
+    """One digest over seeded output: a seed must give the same text forever."""
+    digest = hashlib.sha256()
+    for mode in ("free", "arbitrary", "hook_sum_scrambled"):
+        for p in (2, 3, 65521):
+            for seed in range(100):
+                spec = RandomSpec(mode, max_gens=5, max_rels=5, max_hooks=5, seed=seed)
+                digest.update(presentation_to_bpm(random_module(spec, p)).encode())
+    for p in (2, 3, 65521):
+        for k, pres in enumerate(_scramble_fixtures(p)):
+            for seed in range(20):
+                rng = SplitMix64(1000 * k + seed)
+                digest.update(presentation_to_bpm(_scramble(pres, rng)).encode())
+                digest.update(b"%d\n" % rng.state)
+    for length in range(12):
+        for seed in range(10):
+            rng = SplitMix64(seed)
+            digest.update(repr(rng.shuffle(list(range(length)))).encode())
+            digest.update(b"%d\n" % rng.state)
+    assert digest.hexdigest() == "0c13963a0d323875ea490bad49aa8bd4dcd51d3f80efdb97ba341484892ca650"

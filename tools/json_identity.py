@@ -15,9 +15,13 @@ Both trees classify the same 934 `.bpm` inputs, built by this tree:
 * 300 `arbitrary` modules (``max_gens=max_rels=5``, seeds 0–299) at p = 3.
 
 Each tree parses the text itself and renders `report_to_json` without
-`timings`.  The script prints the number of inputs whose JSON differs and
-the number of this tree's certificates that fail `verify_certificate`, and
-exits 1 when either is nonzero.
+`timings`.  The other tree also builds the 334 inputs that do not come from
+`bench/corpora.py` with its own `gallery`, `random_module` and
+`presentation_to_bpm`, so a change to seeded generation or to the printer
+shows up as a differing input.  The script prints the number of differing
+inputs, the number of inputs whose JSON differs and the number of this
+tree's certificates that fail `verify_certificate`, and exits 1 when any of
+the three is nonzero.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 sys.dont_write_bytecode = True  # leave no caches beside bench/corpora.py
 
+import bipers  # noqa: E402
+import bipers.cli  # noqa: E402
 import corpora  # noqa: E402
-from bipers import Matrix, Presentation, RandomSpec, gallery, gallery_names, random_module  # noqa: E402
 from bipers.classify import classify, report_to_json, verify_certificate  # noqa: E402
-from bipers.cli import parse_module_file, presentation_to_bpm  # noqa: E402
+from bipers.cli import parse_module_file  # noqa: E402
 
 CORPUS_PREFIX = 200
 CORPUS_SEED = 7
@@ -53,21 +58,20 @@ def load_other(src_dir: Path):
     return importlib.import_module("other_bipers.cli"), module
 
 
-def inputs():
-    """The 934 probe inputs as `.bpm` text, in a fixed order."""
+def generated_inputs(lib, cli):
+    """The 334 gallery and `random_module` inputs as `.bpm` text, built
+    with the package `lib` and printed with its `cli` module."""
     texts = []
     for p in (2, 3, 65521):
-        for name in gallery_names():
-            g = gallery(name)
-            texts.append(presentation_to_bpm(Presentation(p, g.gens, g.rels, Matrix(p, g.coeffs.a))))
-    for workload in corpora.WORKLOADS:
-        texts.extend(case.text for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX))
+        for name in lib.gallery_names():
+            g = lib.gallery(name)
+            texts.append(cli.presentation_to_bpm(lib.Presentation(p, g.gens, g.rels, lib.Matrix(p, g.coeffs.a))))
     for seed in range(10):
-        spec = RandomSpec("hook_sum_scrambled", max_hooks=12, max_degree=16, seed=seed)
-        texts.append(presentation_to_bpm(random_module(spec)))
+        spec = lib.RandomSpec("hook_sum_scrambled", max_hooks=12, max_degree=16, seed=seed)
+        texts.append(cli.presentation_to_bpm(lib.random_module(spec)))
     for seed in range(300):
-        spec = RandomSpec("arbitrary", max_gens=5, max_rels=5, seed=seed)
-        texts.append(presentation_to_bpm(random_module(spec, p=3)))
+        spec = lib.RandomSpec("arbitrary", max_gens=5, max_rels=5, seed=seed)
+        texts.append(cli.presentation_to_bpm(lib.random_module(spec, p=3)))
     return texts
 
 
@@ -76,7 +80,11 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     other_cli, other = load_other(Path(argv[0]).resolve())
-    texts = inputs()
+    generated = generated_inputs(bipers, bipers.cli)
+    inputs_differing = sum(a != b for a, b in zip(generated, generated_inputs(other, other_cli)))
+    texts = generated + [
+        case.text for workload in corpora.WORKLOADS for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX)
+    ]
     differing = unverified = 0
     t0 = time.perf_counter()
     for text in texts:
@@ -87,9 +95,9 @@ def main(argv) -> int:
         mine = report_to_json(report, include_timings=False)
         theirs = other.report_to_json(other.classify(other_cli.parse_module_file(text)), include_timings=False)
         differing += mine != theirs
-    print(f"inputs {len(texts)}  differing {differing}  failed_verify {unverified}  "
-          f"seconds {time.perf_counter() - t0:.1f}")
-    return 1 if differing or unverified else 0
+    print(f"inputs {len(texts)}  differing_inputs {inputs_differing}  differing {differing}  "
+          f"failed_verify {unverified}  seconds {time.perf_counter() - t0:.1f}")
+    return 1 if inputs_differing or differing or unverified else 0
 
 
 if __name__ == "__main__":
