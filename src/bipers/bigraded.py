@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxTooSmall, IllegalEntry, InvariantViolation
-from .linalg import (
-    Matrix,
-    check_modulus,
-    inverse_mod,
-    rank,
-    reduce_mod_rows,
-    row_space_echelon,
-)
+from .linalg import Echelon, Matrix, check_modulus, inverse_mod, rank
 
 INF = float("inf")
 
@@ -220,12 +213,9 @@ def direct_sum(*presentations: Presentation) -> Presentation:
     return Presentation(p, gens, rels, Matrix(p, coeffs))
 
 
-def _alive_gens(pres, degree):
-    return [i for i, g in enumerate(pres.gens) if leq(g, degree)]
-
-
-def _alive_rels(pres, degree):
-    return [j for j, r in enumerate(pres.rels) if leq(r, degree)]
+def _born_by(degrees, d) -> list:
+    """Indices of the degrees ≤ d: the free generators born by d."""
+    return [i for i, g in enumerate(degrees) if leq(g, d)]
 
 
 def hilbert_function(pres: Presentation, degree) -> int:
@@ -235,8 +225,8 @@ def hilbert_function(pres: Presentation, degree) -> int:
     independently of the grid machinery.
     """
     validate(pres)
-    gi = _alive_gens(pres, degree)
-    rj = _alive_rels(pres, degree)
+    gi = _born_by(pres.gens, degree)
+    rj = _born_by(pres.rels, degree)
     if not gi:
         return 0
     if not rj:
@@ -258,42 +248,33 @@ def minimize(pres: Presentation) -> Presentation:
     rels = list(pres.rels)
     c = pres.coeffs.a.copy()
 
-    # Unit cancellation: pivot on an entry with q_j == p_i, clear its row by
-    # column operations (always degree-legal), then delete gen i and rel j.
+    # Unit cancellation: pivot on the first entry, in (j, i) order, with
+    # q_j == p_i, clear its row by column operations (always degree-legal),
+    # then delete gen i and rel j.
+    g, r = np.asarray(gens, dtype=np.int64).reshape(-1, 1, 2), np.asarray(rels, dtype=np.int64).reshape(1, -1, 2)
+    same = (g == r).all(axis=2)
     while True:
-        hit = None
-        for j in range(len(rels)):
-            for i in range(len(gens)):
-                if c[i, j] and rels[j] == gens[i]:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
+        hits = np.argwhere(((c != 0) & same).T)
+        if not hits.size:
             break
-        i, j = hit
+        j, i = map(int, hits[0])
         factors = (c[i] * inverse_mod(int(c[i, j]), p)) % p
         factors[j] = 0
         c = (c - np.outer(c[:, j], factors)) % p
         c = np.delete(np.delete(c, i, axis=0), j, axis=1)
+        same = np.delete(np.delete(same, i, axis=0), j, axis=1)
         gens.pop(i)
         rels.pop(j)
 
     # Redundant-column removal: scan relation degrees along a linear
-    # extension of the componentwise order and keep a column only if its
-    # evaluation is not already reachable from kept columns of degree ≤ it.
+    # extension of the componentwise order and keep a column only if it is
+    # not already in the span of kept columns of degree ≤ it.  By legality
+    # these columns vanish off the generators born by its degree.
     order = sorted(range(len(rels)), key=lambda j: (rels[j][0] + rels[j][1], rels[j][0], j))
     kept: list[int] = []
     for j in order:
-        d = rels[j]
-        gi = [i for i, g in enumerate(gens) if leq(g, d)]
-        usable = [k for k in kept if leq(rels[k], d)]
-        v = c[gi, j] if gi else np.zeros(0, dtype=np.int64)
-        if not v.any():
-            continue
-        span = Matrix(p, c[np.ix_(gi, usable)]) if usable else Matrix.zeros(p, len(gi), 0)
-        base = rank(span)
-        if rank(Matrix(p, np.hstack([span.a, v.reshape(-1, 1)]))) > base:
+        usable = [k for k in kept if leq(rels[k], rels[j])]
+        if Echelon(p, len(gens), c[:, usable].T).add(c[:, j]):
             kept.append(j)
     kept.sort()
     return Presentation(p, gens, [rels[j] for j in kept], Matrix(p, c[:, kept] if kept else np.zeros((len(gens), 0), dtype=np.int64)))
@@ -395,19 +376,19 @@ class GridModule:
 
 
 # Per-degree quotient bookkeeping for grid evaluation: the indices of the
-# generators alive at the degree (sorted), echelon rows spanning the evaluated
-# relation space, their pivot positions inside the alive-generator
-# coordinates, and the non-pivot positions, which index the quotient basis.
-_DegreeData = namedtuple("_DegreeData", ["gens", "ech", "piv", "free"])
+# generators born by the degree (sorted), the echelon of the evaluated
+# relation space in those generators' coordinates, and the non-pivot
+# positions, which index the quotient basis.
+_DegreeData = namedtuple("_DegreeData", ["gens", "ech", "free"])
 
 
 def _degree_data(pres: Presentation, degree) -> _DegreeData:
-    gi = np.asarray(_alive_gens(pres, degree), dtype=np.intp)
-    rj = np.asarray(_alive_rels(pres, degree), dtype=np.intp)
+    gi = np.asarray(_born_by(pres.gens, degree), dtype=np.intp)
+    rj = np.asarray(_born_by(pres.rels, degree), dtype=np.intp)
     sub = pres.coeffs.a[np.ix_(gi, rj)] if gi.size and rj.size else np.zeros((gi.size, rj.size), dtype=np.int64)
-    ech, piv = row_space_echelon(Matrix(pres.p, sub.T))
-    free = np.asarray(sorted(set(range(gi.size)).difference(piv.tolist())), dtype=np.intp)
-    return _DegreeData(gi, ech, piv, free)
+    ech = Echelon(pres.p, gi.size, sub.T)
+    free = np.asarray(sorted(set(range(gi.size)).difference(ech.pivots.tolist())), dtype=np.intp)
+    return _DegreeData(gi, ech, free)
 
 
 def grid_coordinates(pres: Presentation, degree, v) -> np.ndarray:
@@ -415,7 +396,7 @@ def grid_coordinates(pres: Presentation, degree, v) -> np.ndarray:
     Σ v_i·g_i, where v has one entry per generator and vanishes on every
     generator not born by `degree`."""
     dd = _degree_data(pres, degree)
-    return reduce_mod_rows(np.asarray(v, dtype=np.int64)[dd.gens], dd.ech, dd.piv, pres.p)[dd.free]
+    return dd.ech.reduce(np.asarray(v, dtype=np.int64)[dd.gens])[dd.free]
 
 
 def to_grid(pres: Presentation, box) -> GridModule:
@@ -444,8 +425,7 @@ def to_grid(pres: Presentation, box) -> GridModule:
         w = np.zeros((dt.gens.size, ds.free.size), dtype=np.int64)
         pos = np.searchsorted(dt.gens, ds.gens[ds.free])
         w[pos, np.arange(ds.free.size)] = 1
-        w = reduce_mod_rows(w, dt.ech, dt.piv, p)
-        return Matrix(p, w[dt.free, :])
+        return Matrix(p, dt.ech.reduce(w)[dt.free, :])
 
     hmaps = [[induced((a, b), (a + 1, b)) for b in range(by + 1)] for a in range(bx)]
     vmaps = [[induced((a, b), (a, b + 1)) for b in range(by)] for a in range(bx + 1)]

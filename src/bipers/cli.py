@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .bigraded import DEFAULT_FIELD, INF, Presentation, stable_grid, to_grid, validate
+from .bigraded import DEFAULT_FIELD, INF, Presentation, compress, stable_grid, to_grid, validate
 from .classify import check_implications, classify, report_to_dict, report_to_json
 from .decomposition import DEFAULT_ENDO_THRESHOLD, decompose_oracle, hook_decompose
 from .errors import (
@@ -372,7 +372,8 @@ def run_command(args, out=None) -> int:
                 for h in cert.hooks
             ]
         if args.oracle:
-            grid, _ = stable_grid(pres)
+            # On the compressed grid: its size follows the distinct degrees.
+            grid, _ = stable_grid(compress(pres)[0])
             summands = decompose_oracle(grid, args.threshold)
             payload["oracle_summands"] = len(summands)
         print(json.dumps(payload, sort_keys=True), file=out)

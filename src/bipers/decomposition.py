@@ -23,6 +23,7 @@ from .bigraded import (
     GridModule,
     Hook,
     Presentation,
+    _born_by,
     compress,
     expand,
     leq,
@@ -207,7 +208,7 @@ def _hook_generators(pres: Presentation, hook: Hook) -> list:
         vs = list(np.eye(len(gens), dtype=np.int64)[e_p])
     else:
         new = [i for i, g in enumerate(gens) if leq(g, hook.q) and not leq(g, hook.p)]
-        r_q = [j for j, r in enumerate(rels) if leq(r, hook.q)]
+        r_q = _born_by(rels, hook.q)
         vs = [(c[:, r_q] @ w) % p for w in kernel_basis(Matrix(p, c[np.ix_(new, r_q)]))]
     if not ts or not vs:
         return []

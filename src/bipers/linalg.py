@@ -2,9 +2,10 @@
 
 Scalars are plain integer residues in ``[0, p)``; matrices wrap a read-only
 ``numpy`` int64 array.  Row reduction uses the leftmost-pivot rule so every
-result is reproducible across runs and platforms.  All operations are pure
-and all values are immutable after construction, so they can be shared
-freely between threads.
+result is reproducible across runs and platforms.  Every function is pure
+and every `Matrix` is immutable after construction, so they can be shared
+freely between threads.  The one mutable object is `Echelon`, the basis of
+a growing span: reduce a vector modulo the span, or insert it.
 """
 
 from __future__ import annotations
@@ -214,18 +215,11 @@ def solve(a: Matrix, b) -> np.ndarray | None:
 
     Free variables are set to zero, so the returned solution is canonical.
     """
-    b = np.asarray(b, dtype=np.int64) % a.p
+    b = np.asarray(b, dtype=np.int64)
     if b.shape != (a.rows,):
         raise ValueError(f"right-hand side length {b.shape} incompatible with {a.shape}")
-    aug = np.hstack([a.a, b.reshape(-1, 1)])
-    red, pivots = _rref_array(aug, a.p)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = np.zeros(a.cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.cols]
-    x.setflags(write=False)
-    return x
+    x = solve_matrix(a, Matrix(a.p, b.reshape(-1, 1)))
+    return None if x is None else x.a[:, 0]
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
@@ -242,19 +236,45 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix(a.p, x)
 
 
-def row_space_echelon(m: Matrix):
-    """Echelon data of the row space: (reduced nonzero rows, pivot columns).
+class Echelon:
+    """Reduced row echelon basis of a growing subspace of F_p^n.
 
-    Used to reduce vectors modulo a subspace: with ``(e, piv)`` the result,
-    ``w − e.T @ w[piv]`` zeroes the pivot coordinates of ``w`` and is 0 iff
-    ``w`` lies in the row space.
+    ``rows`` holds the reduced nonzero rows, one per pivot, and ``pivots``
+    their pivot columns in ascending order, so ``rows`` is always the RREF
+    of the span.  The initial rows are reduced in one `_rref_array` pass;
+    `add` then inserts one vector at a time, the reduce-then-insert step of
+    incremental column reduction (Lesnick–Wright, arXiv:1902.05708).
+    Unlike `Matrix`, an echelon changes in place.
     """
-    a, pivots = _rref_array(m.a.copy(), m.p)
-    return a[: len(pivots)], np.asarray(pivots, dtype=np.intp)
 
+    __slots__ = ("p", "rows", "pivots")
 
-def reduce_mod_rows(w: np.ndarray, ech_rows: np.ndarray, piv: np.ndarray, p: int) -> np.ndarray:
-    """Reduce vector(s) modulo the span of reduced echelon rows."""
-    if ech_rows.shape[0] == 0:
-        return w % p
-    return (w - ech_rows.T @ w[piv]) % p
+    def __init__(self, p, n: int, rows=None):
+        self.p = check_modulus(p)
+        a = np.zeros((0, n), dtype=np.int64) if rows is None else np.mod(np.asarray(rows, dtype=np.int64), self.p)
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"echelon rows must have shape (k, {n}), got {a.shape}")
+        a, pivots = _rref_array(a, self.p)
+        self.rows = a[: len(pivots)]
+        self.pivots = np.asarray(pivots, dtype=np.intp)
+
+    def reduce(self, w) -> np.ndarray:
+        """``w`` modulo the span: zero on every pivot, and 0 iff w lies in
+        the span.  A 2-D ``w`` is reduced column by column."""
+        w = np.asarray(w, dtype=np.int64)
+        return (w - self.rows.T @ w[self.pivots]) % self.p
+
+    def add(self, w) -> bool:
+        """Insert ``w`` into the span; False (and no change) when it is
+        already there."""
+        r = self.reduce(w)
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            return False
+        c = int(nonzero[0])
+        r = (r * inverse_mod(int(r[c]), self.p)) % self.p
+        rows = (self.rows - self.rows[:, c, None] * r) % self.p
+        at = int(np.searchsorted(self.pivots, c))
+        self.rows = np.concatenate((rows[:at], r[None], rows[at:]))
+        self.pivots = np.concatenate((self.pivots[:at], [c], self.pivots[at:]))
+        return True

@@ -21,6 +21,7 @@ import numpy as np
 from .bigraded import (
     GridModule,
     Presentation,
+    _born_by,
     box_degrees,
     classification_box,
     compress,
@@ -32,7 +33,7 @@ from .bigraded import (
     validate,
 )
 from .errors import InvariantViolation
-from .linalg import Matrix, kernel_basis, rank, reduce_mod_rows, row_space_echelon
+from .linalg import Echelon, Matrix, kernel_basis, rank
 
 
 def _sorted_degrees(degrees):
@@ -165,11 +166,12 @@ def syzygy_presentation(pres: Presentation) -> Presentation:
     """Presentation of the kernel of the presentation map F1 → F0.
 
     Expects a minimized presentation.  The kernel is computed degreewise on
-    the classification box; an element is a minimal generator at a degree
-    when it is not reachable from the kernel at the two immediate
-    predecessor degrees.  No generator can appear outside the bounding box
-    (multiplication acts injectively on the kernel out there); this is
-    asserted as a safety net.
+    the classification box, as full-length vectors over the relations; an
+    element is a minimal generator at a degree when it is not in the span of
+    the kernels at the two immediate predecessor degrees and of the
+    generators already taken at this degree.  No generator can appear
+    outside the bounding box (multiplication acts injectively on the kernel
+    out there); this is asserted as a safety net.
     """
     validate(pres)
     p = pres.p
@@ -177,45 +179,25 @@ def syzygy_presentation(pres: Presentation) -> Presentation:
     box = classification_box(pres)
     nx, ny = pres.bounding_box()
 
-    rel_alive = {}
     kernels = {}
     syz_degrees = []
     syz_columns = []
     for d in box_degrees(box):
-        gi = [i for i, g in enumerate(pres.gens) if leq(g, d)]
-        rj = [j for j, r in enumerate(pres.rels) if leq(r, d)]
-        rel_alive[d] = rj
-        sub = pres.coeffs.take(gi, rj)
-        kb = kernel_basis(sub)
-        kernels[d] = kb
+        rj = _born_by(pres.rels, d)
+        kb = kernel_basis(pres.coeffs.take(_born_by(pres.gens, d), rj))
+        kernels[d] = np.zeros((len(kb), m), dtype=np.int64)
         if not kb:
             continue
-
-        # Span reachable from the immediate predecessors, in local coords.
-        reach = []
-        for prev in ((d[0] - 1, d[1]), (d[0], d[1] - 1)):
-            if prev[0] < 0 or prev[1] < 0:
-                continue
-            prev_rj = rel_alive[prev]
-            pos = np.searchsorted(np.asarray(rj), np.asarray(prev_rj, dtype=np.int64))
-            for v in kernels[prev]:
-                w = np.zeros(len(rj), dtype=np.int64)
-                if len(prev_rj):
-                    w[pos] = v
-                reach.append(w)
-        span = Matrix(p, np.array(reach, dtype=np.int64).reshape(len(reach), len(rj)))
-        ech, piv = row_space_echelon(span)
-        for v in kb:
-            red = reduce_mod_rows(v.copy(), ech, piv, p)
-            if not red.any():
+        kernels[d][:, rj] = kb
+        preds = [kernels[prev] for prev in ((d[0] - 1, d[1]), (d[0], d[1] - 1)) if prev in kernels]
+        reach = Echelon(p, m, np.vstack(preds) if preds else None)
+        for v in kernels[d]:
+            if not reach.add(v):
                 continue
             if d[0] > nx or d[1] > ny:
                 raise InvariantViolation(f"syzygy generator at {d} outside bounding box")
-            full = np.zeros(m, dtype=np.int64)
-            full[np.asarray(rj, dtype=np.intp)] = v
             syz_degrees.append(d)
-            syz_columns.append(full)
-            ech, piv = row_space_echelon(Matrix(p, np.vstack([ech, red.reshape(1, -1)])))
+            syz_columns.append(v)
 
     coeffs = Matrix(p, np.array(syz_columns, dtype=np.int64).reshape(len(syz_columns), m).T)
     return Presentation(p, pres.rels, syz_degrees, coeffs)
@@ -251,12 +233,6 @@ def projective_dimension(pres: Presentation) -> int:
     return 1 if rank(m.coeffs) == m.n_rels else 2
 
 
-def _evaluated_map(row_degs, col_degs, coeffs: Matrix, d):
-    ri = [i for i, g in enumerate(row_degs) if leq(g, d)]
-    cj = [j for j, r in enumerate(col_degs) if leq(r, d)]
-    return coeffs.take(ri, cj)
-
-
 def verify_exactness(res: Resolution) -> bool:
     """Degreewise exactness of 0 → F2 → F1 → F0 → M → 0.
 
@@ -269,10 +245,10 @@ def verify_exactness(res: Resolution) -> bool:
     degrees = res.gens0 + res.gens1 + res.gens2
     xs, ys = (sorted({d[k] for d in degrees}) for k in (0, 1))
     for d in [(x, y) for x in xs for y in ys]:
-        dim1 = sum(1 for g in res.gens1 if leq(g, d))
-        dim2 = sum(1 for g in res.gens2 if leq(g, d))
-        r1 = rank(_evaluated_map(res.gens0, res.gens1, res.d1, d))
-        r2 = rank(_evaluated_map(res.gens1, res.gens2, res.d2, d))
+        born1, born2 = _born_by(res.gens1, d), _born_by(res.gens2, d)
+        dim1, dim2 = len(born1), len(born2)
+        r1 = rank(res.d1.take(_born_by(res.gens0, d), born1))
+        r2 = rank(res.d2.take(born1, born2))
         if r2 != dim2:  # exactness at F2: the last map is injective
             return False
         if dim1 - r1 != r2:  # exactness at F1: ker D1 = im D2

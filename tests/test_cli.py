@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -176,6 +177,20 @@ def test_decompose_with_oracle(capsys):
     assert code == 0
     assert out["hook_decomposable"] is False
     assert out["oracle_summands"] == 1
+
+
+def test_decompose_oracle_cost_follows_distinct_degrees(tmp_path, capsys):
+    # The oracle runs on the compressed grid, so a relation at d = 10⁶
+    # costs what it costs at d = 1.
+    path = tmp_path / "strip.bpm"
+    path.write_text("gen g 0 0\nrel r 1000000 1 : 1*g\n")
+    t0 = time.perf_counter()
+    code = main(["decompose", str(path), "--oracle"])
+    elapsed = time.perf_counter() - t0
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["hook_decomposable"] is True and out["oracle_summands"] == 1
+    assert elapsed < 1.0
 
 
 def test_gallery_listing_and_emission(capsys):

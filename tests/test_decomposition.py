@@ -6,6 +6,7 @@ from bipers.bigraded import (
     Hook,
     Presentation,
     classification_box,
+    compress,
     direct_sum,
     hilbert_function,
     leq,
@@ -29,6 +30,7 @@ from bipers.generators import (
     _scramble,
     free_module,
     gallery,
+    gallery_names,
     hook_module,
     random_hook_summands,
     random_module,
@@ -332,6 +334,16 @@ def test_oracle_splits_two_hooks():
 def test_oracle_remark2_indecomposable():
     grid, _ = stable_grid(gallery("pd1-not-hook"))
     assert len(decompose_oracle(grid)) == 1
+
+
+def test_oracle_summands_survive_compression():
+    # `bipers decompose --oracle` runs on the compressed grid; compression
+    # keeps the module up to relabelling, so the summand count must match.
+    mods = [gallery(name) for name in gallery_names()]
+    mods += [random_module(RandomSpec("arbitrary", max_gens=4, max_rels=4, seed=s), p=p) for p in (2, 3) for s in range(30)]
+    for pres in mods:
+        full = decompose_oracle(stable_grid(pres)[0])
+        assert len(decompose_oracle(stable_grid(compress(pres)[0])[0])) == len(full)
 
 
 def test_oracle_threshold():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipers.errors import NonPrimeModulus
-from bipers.linalg import Matrix, kernel_basis, rank, rref, solve
+from bipers.linalg import Echelon, Matrix, kernel_basis, rank, rref, solve
 
 
 def all_vectors(p, n):
@@ -154,6 +154,58 @@ def test_solve_consistency_matches_rank_criterion():
         else:
             assert rank(a) == rank(aug)
             assert not ((a.a @ x - b) % 2).any()
+
+
+def _nonzero_rref_rows(p, rows):
+    red = rref(Matrix(p, rows))
+    return red.reduced.a[: red.rank].tolist(), list(red.pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_echelon_tracks_rank_and_span(p):
+    # Against `rank` and `rref` on seeded draws, half of them inside a
+    # subspace of rank ≤ 2 so that `add` often finds w already spanned.
+    rng = np.random.default_rng(p)
+    for _ in range(80):
+        n = int(rng.integers(0, 6))
+        k = int(rng.integers(0, 4))
+        basis = rng.integers(0, p, size=(2, n))
+
+        def draw():
+            if rng.integers(2):
+                return rng.integers(0, p, size=2) @ basis % p
+            return rng.integers(0, p, size=n) * int(rng.integers(2))
+
+        seen = np.array([draw() for _ in range(k)], dtype=np.int64).reshape(k, n)
+        ech = Echelon(p, n, seen)
+        assert (ech.rows.tolist(), ech.pivots.tolist()) == _nonzero_rref_rows(p, seen)
+        for _ in range(6):
+            w = draw()
+            grown = rank(Matrix(p, np.vstack([seen, w]))) > rank(Matrix(p, seen))
+            red = ech.reduce(w)
+            assert red.any() == grown
+            assert not red[ech.pivots].any()
+            assert ech.add(w) == grown
+            seen = np.vstack([seen, w])
+            assert (ech.rows.tolist(), ech.pivots.tolist()) == _nonzero_rref_rows(p, seen)
+
+
+def test_echelon_edge_shapes():
+    for ech in (Echelon(3, 0), Echelon(3, 0, np.zeros((2, 0), dtype=np.int64))):
+        assert ech.rows.shape == (0, 0) and ech.pivots.size == 0
+        assert ech.reduce(np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert ech.add(np.zeros(0, dtype=np.int64)) is False
+    ech = Echelon(3, 3, np.zeros((2, 3), dtype=np.int64))
+    assert ech.rows.shape == (0, 3)
+    assert ech.reduce([1, 4, 2]).tolist() == [1, 1, 2]
+    assert ech.add([0, 0, 3]) is False
+    assert ech.add([0, 2, 1]) is True and ech.add([1, 0, 0]) is True
+    assert ech.rows.tolist() == [[1, 0, 0], [0, 1, 2]] and ech.pivots.tolist() == [0, 1]
+    # A 2-D argument is reduced column by column.
+    cols = np.array([[1, 0], [1, 2], [1, 1]])
+    assert ech.reduce(cols).tolist() == [[0, 0], [0, 0], [2, 0]]
+    with pytest.raises(ValueError):
+        Echelon(3, 2, np.zeros((1, 3), dtype=np.int64))
 
 
 def test_matmul_and_immutability():

@@ -15,19 +15,23 @@ Both trees classify the same 934 `.bpm` inputs, built by this tree:
 * 300 `arbitrary` modules (``max_gens=max_rels=5``, seeds 0–299) at p = 3.
 
 Each tree parses the text itself and renders `report_to_json` without
-`timings`.  The other tree also builds the 334 inputs that do not come from
-`bench/corpora.py` with its own `gallery`, `random_module` and
-`presentation_to_bpm`, so a change to seeded generation or to the printer
-shows up as a differing input.  The script prints the number of differing
-inputs, the number of inputs whose JSON differs and the number of this
-tree's certificates that fail `verify_certificate`, and exits 1 when any of
-the three is nonzero.
+`timings`, and each prints its `bipers resolve` payload (`levels`, `maps`,
+`exact`) for the same text, read from a temporary `.bpm` file.  The other
+tree also builds the 334 inputs that do not come from `bench/corpora.py`
+with its own `gallery`, `random_module` and `presentation_to_bpm`, so a
+change to seeded generation or to the printer shows up as a differing
+input.  The script prints the number of differing inputs, the number of
+inputs whose classify JSON differs, the number of this tree's certificates
+that fail `verify_certificate` and the number of inputs whose resolve
+payload differs, and exits 1 when any of the four is nonzero.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -75,6 +79,13 @@ def generated_inputs(lib, cli):
     return texts
 
 
+def resolve_payload(cli, path: str) -> str:
+    """What `bipers resolve <path>` prints, run through `cli.run_command`."""
+    out = io.StringIO()
+    cli.run_command(cli.build_parser().parse_args(["resolve", path]), out)
+    return out.getvalue()
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -85,19 +96,24 @@ def main(argv) -> int:
     texts = generated + [
         case.text for workload in corpora.WORKLOADS for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX)
     ]
-    differing = unverified = 0
+    differing = unverified = resolve_differing = 0
     t0 = time.perf_counter()
-    for text in texts:
-        pres = parse_module_file(text)
-        report = classify(pres)
-        if report.certificate is not None and not verify_certificate(pres, report.certificate):
-            unverified += 1
-        mine = report_to_json(report, include_timings=False)
-        theirs = other.report_to_json(other.classify(other_cli.parse_module_file(text)), include_timings=False)
-        differing += mine != theirs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "module.bpm")
+        for text in texts:
+            pres = parse_module_file(text)
+            report = classify(pres)
+            if report.certificate is not None and not verify_certificate(pres, report.certificate):
+                unverified += 1
+            mine = report_to_json(report, include_timings=False)
+            theirs = other.report_to_json(other.classify(other_cli.parse_module_file(text)), include_timings=False)
+            differing += mine != theirs
+            Path(path).write_text(text, encoding="utf-8")
+            resolve_differing += resolve_payload(bipers.cli, path) != resolve_payload(other_cli, path)
     print(f"inputs {len(texts)}  differing_inputs {inputs_differing}  differing {differing}  "
-          f"failed_verify {unverified}  seconds {time.perf_counter() - t0:.1f}")
-    return 1 if inputs_differing or differing or unverified else 0
+          f"failed_verify {unverified}  resolve_differing {resolve_differing}  "
+          f"seconds {time.perf_counter() - t0:.1f}")
+    return 1 if inputs_differing or differing or unverified or resolve_differing else 0
 
 
 if __name__ == "__main__":
