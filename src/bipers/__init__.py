@@ -32,7 +32,6 @@ from .decomposition import (
     HookCertificate,
     decompose_oracle,
     hom_basis,
-    hook_decompose,
     hook_profile,
     peel_hooks,
 )

@@ -405,14 +405,14 @@ def to_grid(pres: Presentation, box) -> GridModule:
     At each degree the module is the span of born generators modulo the
     evaluated relation columns; bases are picked deterministically from
     echelon pivots so repeated runs agree.  Maps are induced by inclusion
-    of the monomial bases.  Raises BoxTooSmall if the box does not contain
-    every generator and relation degree.
+    of the monomial bases.  Raises BoxTooSmall if the box has a negative
+    side or does not contain every generator and relation degree.
     """
     validate(pres)
     p = pres.p
     bx, by = int(box[0]), int(box[1])
     nx, ny = pres.bounding_box()
-    if (pres.gens or pres.rels) and not (nx <= bx and ny <= by):
+    if not (nx <= bx and ny <= by):  # (nx, ny) is (0, 0) for the zero module
         raise BoxTooSmall(f"box {(bx, by)} does not cover presentation degrees {(nx, ny)}")
 
     data = {(a, b): _degree_data(pres, (a, b)) for a in range(bx + 1) for b in range(by + 1)}

@@ -42,10 +42,11 @@ def classify(pres: Presentation) -> ClassificationReport:
     """Full classification with certificate; deterministic up to timings.
 
     One pass over the module: minimize once, `compress` it, evaluate the
-    stable grid once, read the Betti table (hence pd) from that grid, and
-    let `peel_hooks` count hooks and check its certificate's Smith form on
-    the compressed minimal presentation.  Betti degrees and hook corners
-    are mapped back by `expand`; `box` is the input's classification box.
+    stable grid once, read the Betti table (hence pd) from that grid, and,
+    unless pd = 2, let `peel_hooks` count hooks and check its certificate's
+    Smith form on the compressed minimal presentation.  Betti degrees and
+    hook corners are mapped back by `expand`; `box` is the input's
+    classification box.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -62,7 +63,7 @@ def classify(pres: Presentation) -> ClassificationReport:
     pd = 0 if free else (1 if bt.total(2) == 0 else 2)
 
     t = time.perf_counter()
-    cert = peel_hooks(cpres, bt)
+    cert = None if pd == 2 else peel_hooks(cpres)
     timings["decompose"] = time.perf_counter() - t
     hook = cert is not None
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bigraded import DEFAULT_FIELD, INF, Presentation, compress, stable_grid, to_grid, validate
 from .classify import check_implications, classify, report_to_dict, report_to_json
-from .decomposition import DEFAULT_ENDO_THRESHOLD, decompose_oracle, hook_decompose
+from .decomposition import decompose_oracle
 from .errors import (
     BipersError,
     BpmSyntaxError,
@@ -167,14 +167,10 @@ def ascii_support_plot(pres: Presentation, box=None) -> str:
     else:
         box = (int(box[0]), int(box[1]))
         grid = to_grid(pres, box)
-    cert = hook_decompose(pres)
-    births = set()
-    deaths = set()
-    if cert is not None:
-        for h in cert.hooks:
-            births.add(h.p)
-            if not h.is_free:
-                deaths.add(h.q)
+    cert = classify(pres).certificate
+    hooks = () if cert is None else cert.hooks
+    births = {h.p for h in hooks}
+    deaths = {h.q for h in hooks if not h.is_free}
     rows = []
     for b in range(box[1], -1, -1):
         cells = []
@@ -192,8 +188,7 @@ def ascii_support_plot(pres: Presentation, box=None) -> str:
         def fmt(d):
             return "(" + ",".join("inf" if v == INF else str(v) for v in d) + ")"
 
-        hooks = ", ".join(f"{fmt(h.p)}->{fmt(h.q)}" for h in cert.hooks) or "(zero module)"
-        rows.append(f"hooks: {hooks}")
+        rows.append("hooks: " + (", ".join(f"{fmt(h.p)}->{fmt(h.q)}" for h in hooks) or "(zero module)"))
     return "\n".join(rows) + "\n"
 
 
@@ -217,12 +212,16 @@ def load_presentation(source: str, default_field: int) -> Presentation:
         return parse_module_file(f.read(), default_field)
 
 
-def _classify_source(source: str, default_field: int) -> dict:
-    pres = load_presentation(source, default_field)
+def _checked_report(pres: Presentation, source: str):
+    """`classify(pres)`; InvariantViolation if it breaks the implications."""
     report = classify(pres)
     if not check_implications(report):
         raise InvariantViolation(f"implication check failed for {source}")
-    out = report_to_dict(report, include_timings=True)
+    return report
+
+
+def _classify_source(source: str, default_field: int) -> dict:
+    out = report_to_dict(_checked_report(load_presentation(source, default_field), source))
     out["input"] = source
     return out
 
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="hook decomposition certificate, if any")
     add_input(sp)
     sp.add_argument("--oracle", action="store_true", help="also run the idempotent-splitting oracle")
-    sp.add_argument("--threshold", type=int, default=DEFAULT_ENDO_THRESHOLD, help="endomorphism dimension cap for --oracle")
 
     sp = sub.add_parser("gallery", help="list gallery modules or print one as .bpm")
     sp.add_argument("name", nargs="?", help="gallery module name")
@@ -336,10 +334,7 @@ def run_command(args, out=None) -> int:
     pres = load_presentation(args.input, field)
 
     if verb == "classify":
-        report = classify(pres)
-        if not check_implications(report):
-            raise InvariantViolation(f"implication check failed for {args.input}")
-        print(report_to_json(report, indent=None if args.json else 2), file=out)
+        print(report_to_json(_checked_report(pres, args.input), indent=None if args.json else 2), file=out)
         return 0
 
     if verb == "betti":
@@ -364,18 +359,14 @@ def run_command(args, out=None) -> int:
         return 0
 
     if verb == "decompose":
-        cert = hook_decompose(pres)
-        payload = {"hook_decomposable": cert is not None}
-        if cert is not None:
-            payload["hooks"] = [
-                {"p": list(h.p), "q": ["inf" if v == INF else int(v) for v in h.q]}
-                for h in cert.hooks
-            ]
+        report = report_to_dict(_checked_report(pres, args.input))
+        payload = {"hook_decomposable": report["hook_decomposable"]}
+        if report["certificate"] is not None:
+            payload["hooks"] = report["certificate"]["hooks"]
         if args.oracle:
             # On the compressed grid: its size follows the distinct degrees.
             grid, _ = stable_grid(compress(pres)[0])
-            summands = decompose_oracle(grid, args.threshold)
-            payload["oracle_summands"] = len(summands)
+            payload["oracle_summands"] = len(decompose_oracle(grid))
         print(json.dumps(payload, sort_keys=True), file=out)
         return 0
 

@@ -1,13 +1,14 @@
 """Direct-sum structure of grid modules.
 
-Contains the hook decomposition, which counts hook multiplicities as
-pairing ranks read off the minimal presentation and checks its certificate
-by its Smith form on that same presentation, and the independent grid
-routes: hook recognition from support shape, hom spaces as
-natural-transformation kernels, and a deliberately brute-force
-cross-validation oracle that splits along idempotent endomorphisms found by
-exhaustive enumeration.  A morphism of grid modules is a plain dict
-{grid point: component Matrix} over every point of the box.
+Contains the hook peel, which counts hook multiplicities as pairing ranks
+read off a minimal presentation and checks its certificate by its Smith
+form on that same presentation (`classify` is the one pipeline that
+minimizes, compresses and calls it), and the independent grid routes: hook
+recognition from support shape, hom spaces as natural-transformation
+kernels, and a deliberately brute-force cross-validation oracle that splits
+along idempotent endomorphisms found by exhaustive enumeration.  A morphism
+of grid modules is a plain dict {grid point: component Matrix} over every
+point of the box.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from .bigraded import (
     Hook,
     Presentation,
     _born_by,
-    compress,
     expand,
     leq,
     legal_mask,
-    minimize,
-    stable_grid,
 )
 from .errors import InvariantViolation, ThresholdExceeded
 from .linalg import (
@@ -39,9 +37,9 @@ from .linalg import (
     rref,
     solve_matrix,
 )
-from .resolution import grid_betti
 
-DEFAULT_ENDO_THRESHOLD = 16
+# The oracle enumerates p^dim endomorphisms, so it refuses above this many.
+_ORACLE_CAP = 2**16
 # Endomorphism coefficient vectors tested per vectorized batch by the oracle.
 _IDEMPOTENT_CHUNK = 2048
 
@@ -253,27 +251,27 @@ def _check_smith_form(pres: Presentation, cert: HookCertificate) -> None:
         raise InvariantViolation("relations in the hook basis are not the hook deaths")
 
 
-def peel_hooks(pres: Presentation, betti):
+def peel_hooks(pres: Presentation):
     """Split a module into hooks; return a checked certificate or None.
 
-    `pres` is a minimal presentation and `betti` its Betti table.  A hook
-    sum has pd ≤ 1, so β2 ≠ 0 gives None at once.
-    Otherwise, for each β0 degree p and each β1 degree q above p, then ∞,
-    the multiplicity of H = [p, q) is the rank of the pairing t, v ↦ t_p(v)
-    between Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), as End(H) = F_p;
-    `_hook_generators` reads it off `pres`.  Maps between non-isomorphic
-    hooks lie in the radical, so the chosen generators embed the hook sum as
-    a direct summand, which is all of M when the multiplicities fill β0 at
-    every p.  Every summand of a hook sum is born at a β0 degree and dies at
-    a β1 degree or ∞, so a p that falls short proves M is not
-    hook-decomposable.  The chosen generators, in `Hook.sort_key` order,
-    are the columns of the certificate's basis, whose Smith form is checked
-    on `pres` (`_check_smith_form`); no grid is built.
+    `pres` is a minimal presentation, so its generator and relation degrees
+    are β0 and β1.  For each β0 degree p and each β1 degree q above p, then
+    ∞, the multiplicity of H = [p, q) is the rank of the pairing t, v ↦
+    t_p(v) between Hom(M, H) and ker(M(p) → M(q)) ≅ Hom(H, M), as End(H) =
+    F_p; `_hook_generators` reads it off `pres`.  Maps between
+    non-isomorphic hooks lie in the radical, so the chosen generators embed
+    the hook sum as a direct summand, which is all of M when the
+    multiplicities fill β0 at every p.  Every summand of a hook sum is born
+    at a β0 degree and dies at a β1 degree or ∞, so a p that falls short
+    proves M is not hook-decomposable.  The pairing ranks are true
+    multiplicities, so they cannot fill β0 on a module of pd 2, which is no
+    hook sum: the answer is None even without the β2 gate that `classify`
+    applies before calling.  The chosen generators, in `Hook.sort_key`
+    order, are the columns of the certificate's basis, whose Smith form is
+    checked on `pres` (`_check_smith_form`); no grid is built.
     """
-    if betti.beta2:
-        return None
-    deaths = sorted(set(betti.beta1))
-    need = Counter(betti.beta0)
+    deaths = sorted(set(pres.rels))
+    need = Counter(pres.gens)
     peeled = []
     for birth in sorted(need):
         found = 0
@@ -293,17 +291,6 @@ def peel_hooks(pres: Presentation, betti):
     cert = HookCertificate(tuple(h for h, _ in peeled), Matrix(pres.p, basis))
     _check_smith_form(pres, cert)
     return cert
-
-
-def hook_decompose(pres: Presentation):
-    """Decide hook-decomposability; return a checked certificate or None.
-
-    Minimizes and compresses, evaluates the stable grid and its Koszul Betti
-    table, lets `peel_hooks` count hooks, and maps the hooks back (`expand`).
-    """
-    cpres, axes = compress(minimize(pres))
-    cert = peel_hooks(cpres, grid_betti(stable_grid(cpres)[0]))
-    return None if cert is None else cert.expand(axes)
 
 
 def _image_subgrid(M: GridModule, e: dict):
@@ -373,7 +360,7 @@ def _find_nontrivial_idempotent(M: GridModule, basis):
             return {pt: Matrix(p, sum(c * t[pt].a for c, t in zip(coeffs, basis))) for pt in basis[0]}
 
 
-def decompose_oracle(M: GridModule, threshold: int = DEFAULT_ENDO_THRESHOLD):
+def decompose_oracle(M: GridModule):
     """Indecomposable summands by exhaustive idempotent splitting.
 
     Enumerates all p^dim elements of the endomorphism algebra, splits along
@@ -381,15 +368,15 @@ def decompose_oracle(M: GridModule, threshold: int = DEFAULT_ENDO_THRESHOLD):
     only trivial idempotents is indecomposable.  The summand multiset is
     unique up to isomorphism and order (Krull-Schmidt holds for these
     finite-dimensional grid representations; relied on when comparing
-    multisets).  Refuses instances whose endomorphism dimension exceeds the
-    threshold; shrink the instance instead of raising it.
+    multisets).  Refuses instances with more than 2^16 endomorphisms to
+    enumerate; shrink the instance instead.
     """
     if M.is_zero:
         return []
     basis = hom_basis(M, M)
-    if len(basis) > threshold:
+    if M.p ** len(basis) > _ORACLE_CAP:
         raise ThresholdExceeded(
-            f"endomorphism dimension {len(basis)} exceeds threshold {threshold}"
+            f"{M.p}^{len(basis)} endomorphisms exceed the oracle cap of 2^16"
         )
     if len(basis) == 1:
         return [M]
@@ -399,5 +386,5 @@ def decompose_oracle(M: GridModule, threshold: int = DEFAULT_ENDO_THRESHOLD):
     one_minus = {pt: Matrix(M.p, np.eye(m.rows, dtype=np.int64) - m.a) for pt, m in e.items()}
     out = []
     for part in (_image_subgrid(M, e), _image_subgrid(M, one_minus)):
-        out.extend(decompose_oracle(part, threshold))
+        out.extend(decompose_oracle(part))
     return out

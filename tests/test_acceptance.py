@@ -17,7 +17,7 @@ from bipers.bigraded import (
     stable_grid,
 )
 from bipers.classify import check_implications, classify
-from bipers.decomposition import decompose_oracle, hook_decompose, hook_profile
+from bipers.decomposition import decompose_oracle, hook_profile
 from bipers.errors import ThresholdExceeded
 from bipers.generators import (
     RandomSpec,
@@ -171,7 +171,7 @@ def test_criterion_7_decomposition_oracle_agreement():
             continue
         done += 1
         profiles = [hook_profile(s) for s in summands]
-        cert = hook_decompose(pres)
+        cert = classify(pres).certificate
         oracle_verdict = all(pr is not None for pr in profiles)
         assert (cert is not None) == oracle_verdict
         if cert is not None:

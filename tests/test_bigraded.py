@@ -168,6 +168,14 @@ def test_grid_box_too_small():
         to_grid(hook_module(Hook((0, 0), (3, 1))), (2, 2))
 
 
+@pytest.mark.parametrize("box", [(-5, 3), (3, -2), (-1, -1)])
+def test_grid_negative_box_is_too_small(box):
+    # Even the zero module, whose degrees fit any box, needs the point (0, 0).
+    for pres in (Presentation(2, [], []), gallery("hook-not-free")):
+        with pytest.raises(BoxTooSmall):
+            to_grid(pres, box)
+
+
 def test_grid_commutativity_is_checked():
     p = 2
     dims = [[1, 1], [1, 1]]

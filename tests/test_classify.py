@@ -18,7 +18,7 @@ from bipers.classify import (
     report_to_json,
     verify_certificate,
 )
-from bipers.decomposition import _check_smith_form, hook_decompose, peel_hooks
+from bipers.decomposition import _check_smith_form, peel_hooks
 from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
@@ -69,7 +69,7 @@ def test_certificate_rejected_on_wrong_module():
 
 def test_hand_built_certificate_for_free_module():
     pres = free_module([(0, 0)])
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert verify_certificate(pres, cert)
 
 
@@ -247,7 +247,7 @@ def test_compressed_classify_matches_the_full_grid(p, stretch):
         grid, _ = stable_grid(mpres)
         bt = grid_betti(grid)
         assert rep.betti == bt
-        cert = peel_hooks(mpres, bt)
+        cert = peel_hooks(mpres)
         assert (cert is None) == (rep.certificate is None)
         if cert is not None:
             assert Counter(rep.certificate.hooks) == Counter(cert.hooks)
@@ -271,7 +271,7 @@ SCRAMBLED_TRIPLE = _scramble(
 def _compressed_certificate(pres):
     """The certificate of `pres` before its hooks are mapped back."""
     cpres, axes = compress(minimize(pres))
-    return cpres, axes, peel_hooks(cpres, grid_betti(stable_grid(cpres)[0]))
+    return cpres, axes, peel_hooks(cpres)
 
 
 @pytest.mark.parametrize("pres", [gallery("remark2-hilbert-twin"), SCRAMBLED_TRIPLE], ids=["twin", "scrambled-triple"])

@@ -193,6 +193,43 @@ def test_decompose_oracle_cost_follows_distinct_degrees(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("seed", [16, 23, 35])
+def test_decompose_oracle_refuses_large_fields_quickly(seed, tmp_path, capsys):
+    # End dim 12, 10 and 4 at p = 65521: 65521^dim endomorphisms to try.
+    argv = ["random", "--seed", str(seed), "--field", "65521", "--max-gens", "5", "--max-rels", "5"]
+    assert main(argv) == 0
+    path = tmp_path / "m.bpm"
+    path.write_text(capsys.readouterr().out)
+    t0 = time.perf_counter()
+    code = main(["decompose", str(path), "--oracle"])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert "exceed the oracle cap" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "gallery:remark2-hilbert-twin",
+            '{"hook_decomposable": true, "hooks": [{"p": [0, 1], "q": [1, 1]}, {"p": [1, 0], "q": ["inf", "inf"]}]}',
+        ),
+        ("gallery:free-point", '{"hook_decomposable": true, "hooks": [{"p": [0, 0], "q": ["inf", "inf"]}]}'),
+        ("gen g 0 0\nrel r 1000000 1 : 1*g\n", '{"hook_decomposable": true, "hooks": [{"p": [0, 0], "q": [1000000, 1]}]}'),
+        ("gallery:pd1-not-hook", '{"hook_decomposable": false}'),
+    ],
+    ids=["twin", "free-point", "strip", "not-hook"],
+)
+def test_decompose_payload_is_pinned(text, expected, tmp_path, capsys):
+    source = text
+    if not text.startswith("gallery:"):
+        source = str(tmp_path / "m.bpm")
+        (tmp_path / "m.bpm").write_text(text)
+    assert main(["decompose", source]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_gallery_listing_and_emission(capsys):
     assert main(["gallery"]) == 0
     names = capsys.readouterr().out.split()
@@ -334,6 +371,12 @@ def test_plot_box_override(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("y=4")
     assert main(["plot", "gallery:hook-not-free", "--box", "0", "0"]) == 2  # too small
+
+
+@pytest.mark.parametrize("box", [["-5", "3"], ["3", "-2"]])
+def test_plot_negative_box_exits_2(box, capsys):
+    assert main(["plot", "gallery:zero", "--box", *box]) == 2
+    assert "does not cover" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from bipers.classify import classify, verify_certificate
 from bipers.decomposition import (
     decompose_oracle,
     hom_basis,
-    hook_decompose,
     hook_profile,
     peel_hooks,
     _hook_generators,
@@ -114,30 +115,30 @@ def test_profile_rejects_zero_module():
 
 
 def test_remark1_module_decomposes():
-    cert = hook_decompose(gallery("hook-not-free"))
+    cert = classify(gallery("hook-not-free")).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == [((0, 0), (1, 1))]
     assert verify_certificate(gallery("hook-not-free"), cert)
 
 
 def test_remark2_module_does_not_decompose():
-    assert hook_decompose(gallery("pd1-not-hook")) is None
-    assert hook_decompose(gallery("pd1-not-hook-f3")) is None
+    assert classify(gallery("pd1-not-hook")).certificate is None
+    assert classify(gallery("pd1-not-hook-f3")).certificate is None
 
 
 def test_free_module_decomposes_into_free_hooks():
-    cert = hook_decompose(free_module([(0, 0), (2, 3)]))
+    cert = classify(free_module([(0, 0), (2, 3)])).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == [((0, 0), (INF, INF)), ((2, 3), (INF, INF))]
 
 
 def test_zero_module_decomposes_as_empty_sum():
-    cert = hook_decompose(Presentation(2, [], []))
+    cert = classify(Presentation(2, [], [])).certificate
     assert cert is not None and cert.hooks == ()
 
 
 def test_koszul_point_does_not_decompose():
-    assert hook_decompose(gallery("koszul-point")) is None
+    assert classify(gallery("koszul-point")).certificate is None
 
 
 def test_hilbert_twin_regression():
@@ -149,10 +150,10 @@ def test_hilbert_twin_regression():
     for a in range(box[0] + 1):
         for b in range(box[1] + 1):
             assert hilbert_function(twin, (a, b)) == hilbert_function(other, (a, b))
-    cert = hook_decompose(twin)
+    cert = classify(twin).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == [((0, 1), (1, 1)), ((1, 0), (INF, INF))]
-    assert hook_decompose(other) is None
+    assert classify(other).certificate is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -160,7 +161,7 @@ def test_scramble_recovery_round_trip(seed):
     spec = RandomSpec("hook_sum_scrambled", max_hooks=4, max_degree=6, seed=700 + seed)
     constructed = random_hook_summands(spec)
     pres = random_module(spec)
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(constructed)
     assert verify_certificate(pres, cert)
@@ -172,7 +173,7 @@ def test_explicit_scrambled_pair_of_hooks():
     c = pres.coeffs.a.copy()
     c[0] = (c[0] + c[1]) % 2  # p0 <= p1: row op adding gen1 row into gen0 row
     scrambled = Presentation(2, pres.gens, pres.rels, Matrix(2, c))
-    cert = hook_decompose(scrambled)
+    cert = classify(scrambled).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == [((0, 0), (2, 1)), ((1, 1), (3, 3))]
 
@@ -181,7 +182,7 @@ def test_explicit_scrambled_pair_of_hooks():
 def test_certificate_hilbert_conservation(seed):
     spec = RandomSpec("hook_sum_scrambled", max_hooks=4, max_degree=5, seed=800 + seed)
     pres = random_module(spec)
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert cert is not None
     box = classification_box(pres)
     for a in range(box[0] + 1):
@@ -193,7 +194,7 @@ def test_certificate_hilbert_conservation(seed):
 
 def test_pd1_not_hook_rejected_over_large_field():
     pres = Presentation(65521, [(0, 1), (1, 0)], [(1, 1)], [[1], [65520]])
-    assert hook_decompose(pres) is None
+    assert classify(pres).certificate is None
 
 
 LARGE_FIELD_SPECS = [RandomSpec("hook_sum_scrambled", max_hooks=5, max_degree=8, seed=900 + k) for k in range(3)]
@@ -206,7 +207,7 @@ LARGE_FIELD_SPECS = [RandomSpec("hook_sum_scrambled", max_hooks=5, max_degree=8,
 )
 def test_hook_sums_beyond_exhaustive_search(spec, p):
     pres = random_module(spec, p=p)
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(random_hook_summands(spec))
     assert verify_certificate(pres, cert)
@@ -232,7 +233,7 @@ def test_certificate_matches_rank_invariant_over_large_field(spec):
     # M pins its hook multiset.  Checked on the unminimized input, without
     # the peel or the oracle (which cannot run at this p).
     pres = random_module(spec, p=65521)
-    hooks = hook_decompose(pres).hooks
+    hooks = classify(pres).certificate.hooks
     grid = to_grid(pres, classification_box(pres))
     bx, by = grid.box
     for alpha in [(a, b) for a in range(bx + 1) for b in range(by + 1)]:
@@ -255,7 +256,7 @@ NESTED_HOOKS = [
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_hook_multiplicities_above_one_at_one_birth(p):
     pres = _scramble(direct_sum(*[hook_module(h, p) for h in NESTED_HOOKS]), SplitMix64(1000 + p))
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert cert is not None
     assert hooks_as_pairs(cert.hooks) == hooks_as_pairs(NESTED_HOOKS)
     assert verify_certificate(pres, cert)
@@ -267,7 +268,7 @@ def test_glued_pair_beside_hooks_is_rejected(p):
     glued = Presentation(p, glued.gens, glued.rels, Matrix(p, glued.coeffs.a))
     parts = [glued, hook_module(Hook((0, 1), (2, 2)), p), hook_module(Hook((1, 0), (INF, INF)), p)]
     pres = _scramble(direct_sum(*parts), SplitMix64(2000 + p))
-    assert hook_decompose(pres) is None
+    assert classify(pres).certificate is None
     rep = classify(pres)
     assert rep.projective_dimension == 1
     assert not rep.hook_decomposable and rep.certificate is None
@@ -277,7 +278,7 @@ def test_peel_hooks_rejects_nonzero_beta2():
     mpres = minimize(gallery("koszul-point"))
     grid, _ = stable_grid(mpres)
     assert grid_betti(grid).beta2
-    assert peel_hooks(mpres, grid_betti(grid)) is None
+    assert peel_hooks(mpres) is None
 
 
 def _pairing_rank_on_grid(grid, hook):
@@ -349,7 +350,26 @@ def test_oracle_summands_survive_compression():
 def test_oracle_threshold():
     grid, _ = stable_grid(free_module([(0, 0)] * 5))
     with pytest.raises(ThresholdExceeded):
-        decompose_oracle(grid, threshold=3)
+        decompose_oracle(grid)
+
+
+def test_oracle_cap_counts_endomorphisms():
+    # The cap is on p^dim, the number of endomorphisms enumerated: End dim
+    # 16 is allowed at p = 2 and refused at p = 3.
+    assert len(decompose_oracle(stable_grid(free_module([(0, 0)] * 4))[0])) == 4
+    with pytest.raises(ThresholdExceeded):
+        decompose_oracle(stable_grid(Presentation(3, [(0, 0)] * 4, []))[0])
+
+
+@pytest.mark.parametrize("seed", [16, 23, 35])
+def test_oracle_refuses_small_endomorphism_algebras_at_large_p(seed):
+    # End dim 12, 10 and 4: each far above 2^16 endomorphisms at p = 65521.
+    pres = random_module(RandomSpec("arbitrary", max_gens=5, max_rels=5, seed=seed), p=65521)
+    grid, _ = stable_grid(compress(pres)[0])
+    t0 = time.perf_counter()
+    with pytest.raises(ThresholdExceeded):
+        decompose_oracle(grid)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -362,7 +382,7 @@ def test_oracle_agrees_with_hook_decompose(seed):
     except ThresholdExceeded:
         pytest.skip("endomorphism algebra above oracle threshold")
     profiles = [hook_profile(s) for s in summands]
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert (cert is not None) == all(pr is not None for pr in profiles)
     if cert is not None:
         assert hooks_as_pairs(cert.hooks) == sorted((pr.p, pr.q) for pr in profiles)

@@ -4,7 +4,7 @@ import pytest
 
 from bipers.bigraded import INF, Bar, Hook, Presentation, classification_box, direct_sum, hilbert_function
 from bipers.classify import check_implications, classify
-from bipers.decomposition import decompose_oracle, hook_decompose
+from bipers.decomposition import decompose_oracle
 from bipers.cli import presentation_to_bpm
 from bipers.errors import UnknownName
 from bipers.generators import (
@@ -60,7 +60,7 @@ def test_gamma_product_unit_bars():
 
 def test_gamma_product_mixed_round_trip():
     pres = gamma_product([(Bar(0, 2), Bar(1, 3)), (Bar(1, INF), Bar(0, INF))])
-    cert = hook_decompose(pres)
+    cert = classify(pres).certificate
     assert cert is not None
     assert sorted((h.p, h.q) for h in cert.hooks) == [((0, 1), (2, 3)), ((1, 0), (INF, INF))]
 

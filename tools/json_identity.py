@@ -15,15 +15,16 @@ Both trees classify the same 934 `.bpm` inputs, built by this tree:
 * 300 `arbitrary` modules (``max_gens=max_rels=5``, seeds 0–299) at p = 3.
 
 Each tree parses the text itself and renders `report_to_json` without
-`timings`, and each prints its `bipers resolve` payload (`levels`, `maps`,
-`exact`) for the same text, read from a temporary `.bpm` file.  The other
+`timings`, and each prints what `bipers resolve`, `bipers decompose` and
+`bipers plot` print for the same text, read from a temporary `.bpm` file.  The other
 tree also builds the 334 inputs that do not come from `bench/corpora.py`
 with its own `gallery`, `random_module` and `presentation_to_bpm`, so a
 change to seeded generation or to the printer shows up as a differing
 input.  The script prints the number of differing inputs, the number of
 inputs whose classify JSON differs, the number of this tree's certificates
-that fail `verify_certificate` and the number of inputs whose resolve
-payload differs, and exits 1 when any of the four is nonzero.
+that fail `verify_certificate` and, per verb, the number of inputs whose
+`resolve`, `decompose` or `plot` output differs, and exits 1 when any count
+is nonzero.
 """
 
 from __future__ import annotations
@@ -79,10 +80,13 @@ def generated_inputs(lib, cli):
     return texts
 
 
-def resolve_payload(cli, path: str) -> str:
-    """What `bipers resolve <path>` prints, run through `cli.run_command`."""
+VERBS = ("resolve", "decompose", "plot")
+
+
+def verb_output(cli, verb: str, path: str) -> str:
+    """What `bipers <verb> <path>` prints, run through `cli.run_command`."""
     out = io.StringIO()
-    cli.run_command(cli.build_parser().parse_args(["resolve", path]), out)
+    cli.run_command(cli.build_parser().parse_args([verb, path]), out)
     return out.getvalue()
 
 
@@ -96,7 +100,8 @@ def main(argv) -> int:
     texts = generated + [
         case.text for workload in corpora.WORKLOADS for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX)
     ]
-    differing = unverified = resolve_differing = 0
+    differing = unverified = 0
+    verb_differing = dict.fromkeys(VERBS, 0)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "module.bpm")
@@ -109,11 +114,12 @@ def main(argv) -> int:
             theirs = other.report_to_json(other.classify(other_cli.parse_module_file(text)), include_timings=False)
             differing += mine != theirs
             Path(path).write_text(text, encoding="utf-8")
-            resolve_differing += resolve_payload(bipers.cli, path) != resolve_payload(other_cli, path)
+            for verb in VERBS:
+                verb_differing[verb] += verb_output(bipers.cli, verb, path) != verb_output(other_cli, verb, path)
+    verbs = "".join(f"{verb}_differing {n}  " for verb, n in verb_differing.items())
     print(f"inputs {len(texts)}  differing_inputs {inputs_differing}  differing {differing}  "
-          f"failed_verify {unverified}  resolve_differing {resolve_differing}  "
-          f"seconds {time.perf_counter() - t0:.1f}")
-    return 1 if inputs_differing or differing or unverified or resolve_differing else 0
+          f"failed_verify {unverified}  {verbs}seconds {time.perf_counter() - t0:.1f}")
+    return 1 if inputs_differing or differing or unverified or any(verb_differing.values()) else 0
 
 
 if __name__ == "__main__":
