@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .bigraded import INF, Hook, Presentation, classification_box, compress, expand, grid_coordinates, legal_mask, minimize, stable_grid
 from .decomposition import HookCertificate, _propagate, peel_hooks
 from .linalg import Matrix, rank
-from .resolution import BettiTable, grid_betti
+from .resolution import BettiTable, _minimal_betti
 
 
 @dataclass
@@ -42,11 +42,13 @@ def classify(pres: Presentation) -> ClassificationReport:
     """Full classification with certificate; deterministic up to timings.
 
     One pass over the module: minimize once, `compress` it, evaluate the
-    stable grid once, read the Betti table (hence pd) from that grid, and,
-    unless pd = 2, let `peel_hooks` count hooks and check its certificate's
-    Smith form on the compressed minimal presentation.  Betti degrees and
-    hook corners are mapped back by `expand`; `box` is the input's
-    classification box.
+    stable grid once, take β0/β1 from the minimal degrees and β2 (hence
+    pd) by Möbius inversion of the grid's dimensions (`_minimal_betti`),
+    and, unless pd = 2, let `peel_hooks` count hooks and check its
+    certificate's Smith form on the compressed minimal presentation.
+    Betti degrees and hook corners are mapped back by `expand`; `box` is
+    the input's classification box.  `betti_table` is the independent
+    Koszul check on this table.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -56,7 +58,7 @@ def classify(pres: Presentation) -> ClassificationReport:
     t = time.perf_counter()
     cpres, axes = compress(mpres)
     grid, _ = stable_grid(cpres)
-    bt = grid_betti(grid)
+    bt = _minimal_betti(cpres, grid.dims)
     timings["betti"] = time.perf_counter() - t
 
     free = mpres.n_rels == 0

@@ -1,11 +1,19 @@
 """Minimal free resolutions, graded Betti numbers, projective dimension.
 
-Betti numbers are computed by two independent routes.  The primary route
-reads them off the grid: at each bidegree the three-term complex
+Betti numbers are computed by three routes.  `classify` takes β0 and β1
+off its minimal presentation, whose degrees they are, and β2 from the
+Hilbert function on the classification box (`_minimal_betti`): the Möbius
+inversion
+
+    H(a, b) − H(a−1, b) − H(a, b−1) + H(a−1, b−1) = β0 − β1 + β2
+
+holds at every bidegree (Miller–Sturmfels, *Combinatorial Commutative
+Algebra*, ch. 8).  The check route, `betti_table`, reads all three off the
+grid of the unminimized input: at each bidegree the three-term complex
 
     M(a-1, b-1) --(y·m, -x·m)--> M(a-1, b) ⊕ M(a, b-1) --(x·u + y·v)--> M(a, b)
 
-has homology of dimension β2, β1, β0 at that bidegree.  The second route
+has homology of dimension β2, β1, β0 at that bidegree.  The third route
 computes the syzygy module of the presentation map degreewise and extracts
 its minimal generators; it doubles as the level-2 map of the explicit
 resolution.  Over two variables the resolution stops at homological
@@ -151,11 +159,41 @@ def grid_betti(grid: GridModule) -> BettiTable:
     return BettiTable(*(_sorted_degrees(acc) for acc in betas))
 
 
+def _minimal_betti(cpres: Presentation, dims) -> BettiTable:
+    """Graded Betti numbers of a compressed minimal presentation from its
+    Hilbert function `dims` on the classification box.
+
+    β0 and β1 are the generator and relation degrees; β2 is the Möbius
+    inversion of `dims` minus β0 plus β1.  Three safety nets raise
+    InvariantViolation: β2 < 0 at some point, β2 in the frontier row or
+    column, and a β2 total other than n_rels − rank C, the rank of the
+    kernel of F1 → F0 (so β2 = ∅ exactly when rank C = n_rels).
+    """
+    h = np.asarray(dims, dtype=np.int64)
+    beta2 = h.copy()
+    beta2[1:, :] -= h[:-1, :]
+    beta2[:, 1:] -= h[:, :-1]
+    beta2[1:, 1:] += h[:-1, :-1]
+    for degrees, sign in ((cpres.gens, -1), (cpres.rels, 1)):
+        at = np.asarray(degrees, dtype=np.intp).reshape(-1, 2)
+        np.add.at(beta2, (at[:, 0], at[:, 1]), sign)
+    if (beta2 < 0).any():
+        raise InvariantViolation(f"negative β2 at {tuple(map(int, np.argwhere(beta2 < 0)[0]))}")
+    if beta2[-1, :].any() or beta2[:, -1].any():
+        raise InvariantViolation(f"β2 on the frontier of the box {(h.shape[0] - 1, h.shape[1] - 1)}")
+    kernel_rank = cpres.n_rels - rank(cpres.coeffs)
+    if int(beta2.sum()) != kernel_rank:
+        raise InvariantViolation(f"{int(beta2.sum())} β2 degrees, but ker C has rank {kernel_rank}")
+    beta2_degrees = [(int(a), int(b)) for a, b in np.argwhere(beta2) for _ in range(beta2[a, b])]
+    return BettiTable(_sorted_degrees(cpres.gens), _sorted_degrees(cpres.rels), tuple(beta2_degrees))
+
+
 def betti_table(pres: Presentation) -> BettiTable:
     """Graded Betti numbers of the presented module (grid homology route).
 
-    Evaluates the presentation as given, unminimized, so this route stays
-    independent of `minimize` and of `syzygy_presentation`, on the grid of
+    The check on `classify`'s table.  Evaluates the presentation as given,
+    unminimized, so this route stays independent of `minimize`, of
+    `_minimal_betti` and of `syzygy_presentation`, on the grid of
     `compress(pres)`; the degrees are mapped back by `expand`.
     """
     cpres, axes = compress(pres)

@@ -22,7 +22,7 @@ from bipers.decomposition import _check_smith_form, peel_hooks
 from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
-from bipers.resolution import BettiTable, grid_betti
+from bipers.resolution import BettiTable, betti_table, grid_betti
 
 
 def test_classify_remark1():
@@ -106,6 +106,7 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
         "syzygy_presentation": bipers.resolution.syzygy_presentation,
         "hom_basis": bipers.decomposition.hom_basis,
         "_propagate": bipers.decomposition._propagate,
+        "grid_betti": bipers.resolution.grid_betti,
     }
     calls = Counter()
 
@@ -126,6 +127,7 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
     assert report.projective_dimension == pd
     assert report.hook_decomposable == (pd == 1)
     assert calls == Counter(minimize=1, stable_grid=1, to_grid=1)
+    assert calls["grid_betti"] == 0  # β2 comes from the grid's dimensions
 
 
 def test_padded_staircase_betti_table():
@@ -251,6 +253,43 @@ def test_compressed_classify_matches_the_full_grid(p, stretch):
         assert (cert is None) == (rep.certificate is None)
         if cert is not None:
             assert Counter(rep.certificate.hooks) == Counter(cert.hooks)
+
+
+def _staircase(p, rng, steps):
+    """One generator killed by a staircase of monomial relations, summed
+    with a random hook and scrambled: pd 2, with β2 at the joins of
+    consecutive steps."""
+    xs = [3 * k + rng.below(3) for k in range(steps)]
+    ys = [3 * (steps - k) + rng.below(3) for k in range(steps)]
+    corner = (rng.below(3), rng.below(3))
+    rels = [(corner[0] + x + 1, corner[1] + y + 1) for x, y in zip(xs, ys)]
+    ideal = Presentation(p, [corner], rels, [[1 + rng.below(p - 1) for _ in rels]])
+    birth = (rng.below(6), rng.below(6))
+    hook = hook_module(Hook(birth, (birth[0] + 1 + rng.below(4), birth[1] + 1 + rng.below(4))), p)
+    return _scramble(direct_sum(ideal, hook), rng)
+
+
+def _betti_cross_check_corpus():
+    modules = []
+    for p in (2, 3, 65521):
+        modules += [random_module(RandomSpec("arbitrary", max_gens=4, max_rels=5, seed=8800 + s), p=p) for s in range(50)]
+        modules += [random_module(RandomSpec("hook_sum_scrambled", max_hooks=5, seed=8900 + s), p=p) for s in range(20)]
+        rng = SplitMix64(9000 + p)
+        modules += [_staircase(p, rng, 2 + rng.below(3)) for _ in range(10)]
+    return modules
+
+
+def test_classify_betti_matches_the_koszul_route():
+    # classify's table (minimal degrees and Möbius inversion of the
+    # minimal presentation's grid) against Koszul homology on the
+    # unminimized input's grid.
+    modules = _betti_cross_check_corpus()
+    pds = Counter()
+    for k, pres in enumerate(modules):
+        rep = classify(pres)
+        assert rep.betti == betti_table(pres), k
+        pds[rep.projective_dimension] += 1
+    assert len(modules) >= 200 and pds[2] >= 20, pds
 
 
 def test_certificate_with_a_corner_off_the_axes_is_rejected():

@@ -100,7 +100,7 @@ def test_direct_sum_is_additive(p):
     assert seen == {True, False}
 
 
-GLUED_ABOVE = 24
+GLUED_ABOVE = 40
 
 
 def _random_hooks(n, rng, span):

@@ -21,6 +21,7 @@ from bipers.linalg import Matrix
 from bipers.resolution import (
     BettiTable,
     Resolution,
+    _minimal_betti,
     betti_table,
     grid_betti,
     hilbert_from_betti,
@@ -294,6 +295,32 @@ def test_grid_betti_rejects_a_contribution_on_the_frontier():
     pres = gallery("hook-not-free")  # β1 at (1, 1), the corner of this box
     with pytest.raises(InvariantViolation, match="frontier"):
         grid_betti(to_grid(pres, (1, 1)))
+
+
+HOOK = Presentation(2, [(0, 0)], [(1, 1)], [[1]])  # box (2, 2)
+
+
+def test_minimal_betti_of_a_hook():
+    dims = [[1, 1, 1], [1, 0, 0], [1, 0, 0]]
+    assert _minimal_betti(HOOK, dims) == BettiTable(((0, 0),), ((1, 1),), ())
+
+
+def test_minimal_betti_rejects_a_negative_beta2():
+    dims = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]  # Möbius inversion −1 at (2, 1)
+    with pytest.raises(InvariantViolation, match="negative"):
+        _minimal_betti(HOOK, dims)
+
+
+def test_minimal_betti_rejects_beta2_on_the_frontier():
+    dims = [[1, 1], [1, 2]]  # a free generator at (0, 0); β2 = 1 at (1, 1)
+    with pytest.raises(InvariantViolation, match="frontier"):
+        _minimal_betti(free_module([(0, 0)]), dims)
+
+
+def test_minimal_betti_rejects_beta2_disagreeing_with_the_rank():
+    dims = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]  # β2 = 1 at (1, 1), but rank C = 1 = n_rels
+    with pytest.raises(InvariantViolation, match="ker C has rank 0"):
+        _minimal_betti(HOOK, dims)
 
 
 @pytest.mark.parametrize("seed", range(30))

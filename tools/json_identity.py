@@ -15,22 +15,25 @@ Both trees classify the same 934 `.bpm` inputs, built by this tree:
 * 300 `arbitrary` modules (``max_gens=max_rels=5``, seeds 0–299) at p = 3.
 
 Each tree parses the text itself and renders `report_to_json` without
-`timings`, and each prints what `bipers resolve`, `bipers decompose` and
-`bipers plot` print for the same text, read from a temporary `.bpm` file.  The other
-tree also builds the 334 inputs that do not come from `bench/corpora.py`
-with its own `gallery`, `random_module` and `presentation_to_bpm`, so a
-change to seeded generation or to the printer shows up as a differing
-input.  The script prints the number of differing inputs, the number of
+`timings`, and each prints what `bipers betti`, `bipers resolve`, `bipers
+decompose` and `bipers plot` print for the same text, read from a
+temporary `.bpm` file.  The other tree also builds the 334 inputs that do
+not come from `bench/corpora.py` with its own `gallery`, `random_module`
+and `presentation_to_bpm`, so a change to seeded generation or to the
+printer shows up as a differing input.  The script prints the number of differing inputs, the number of
 inputs whose classify JSON differs, the number of this tree's certificates
-that fail `verify_certificate` and, per verb, the number of inputs whose
-`resolve`, `decompose` or `plot` output differs, and exits 1 when any count
-is nonzero.
+that fail `verify_certificate`, the number of inputs whose classify JSON
+`betti` differs from this tree's `bipers betti` output (the Möbius route
+against the Koszul route, ``betti_routes_differing``) and, per verb, the
+number of inputs whose `betti`, `resolve`, `decompose` or `plot` output
+differs, and exits 1 when any count is nonzero.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import sys
 import tempfile
 import time
@@ -80,7 +83,7 @@ def generated_inputs(lib, cli):
     return texts
 
 
-VERBS = ("resolve", "decompose", "plot")
+VERBS = ("betti", "resolve", "decompose", "plot")
 
 
 def verb_output(cli, verb: str, path: str) -> str:
@@ -100,7 +103,7 @@ def main(argv) -> int:
     texts = generated + [
         case.text for workload in corpora.WORKLOADS for case in corpora.corpus(workload, CORPUS_SEED, CORPUS_PREFIX)
     ]
-    differing = unverified = 0
+    differing = unverified = routes_differing = 0
     verb_differing = dict.fromkeys(VERBS, 0)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,11 +118,16 @@ def main(argv) -> int:
             differing += mine != theirs
             Path(path).write_text(text, encoding="utf-8")
             for verb in VERBS:
-                verb_differing[verb] += verb_output(bipers.cli, verb, path) != verb_output(other_cli, verb, path)
+                out = verb_output(bipers.cli, verb, path)
+                verb_differing[verb] += out != verb_output(other_cli, verb, path)
+                if verb == "betti":
+                    routes_differing += json.loads(mine)["betti"] != json.loads(out)
     verbs = "".join(f"{verb}_differing {n}  " for verb, n in verb_differing.items())
     print(f"inputs {len(texts)}  differing_inputs {inputs_differing}  differing {differing}  "
-          f"failed_verify {unverified}  {verbs}seconds {time.perf_counter() - t0:.1f}")
-    return 1 if inputs_differing or differing or unverified or any(verb_differing.values()) else 0
+          f"failed_verify {unverified}  betti_routes_differing {routes_differing}  "
+          f"{verbs}seconds {time.perf_counter() - t0:.1f}")
+    counts = (inputs_differing, differing, unverified, routes_differing, *verb_differing.values())
+    return 1 if any(counts) else 0
 
 
 if __name__ == "__main__":
