@@ -58,7 +58,7 @@ from .generators import (
     random_hook_summands,
     random_module,
 )
-from .linalg import Matrix, kernel_basis, rank, rref, solve
+from .linalg import Matrix, kernel_basis, rank, rref
 from .resolution import (
     BettiTable,
     Resolution,
@@ -66,7 +66,6 @@ from .resolution import (
     grid_betti,
     hilbert_from_betti,
     minimal_free_resolution,
-    projective_dimension,
     syzygy_presentation,
     verify_exactness,
 )

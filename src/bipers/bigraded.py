@@ -25,6 +25,9 @@ INF = float("inf")
 
 DEFAULT_FIELD = 2
 
+# Finite degree coordinates must fit the int64 arrays of grid and legality code.
+INT64_MAX = (1 << 63) - 1
+
 
 def leq(a, b) -> bool:
     """Componentwise order on bigrades; finite < ∞, and ∞ ≤ ∞."""
@@ -37,21 +40,21 @@ def join(a, b):
 
 def _check_finite_degree(d):
     x, y = d
-    if type(x) is int and type(y) is int and x >= 0 and y >= 0:
+    if type(x) is int and type(y) is int and 0 <= x <= INT64_MAX and 0 <= y <= INT64_MAX:
         return (x, y)
     if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))):
         raise ValueError(f"degree must have integer coordinates, got {d!r}")
-    if x < 0 or y < 0:
-        raise ValueError(f"degree coordinates must be nonnegative, got {d!r}")
+    if not (0 <= x <= INT64_MAX and 0 <= y <= INT64_MAX):
+        raise ValueError(f"degree coordinates must lie in [0, 2**63 - 1], got {d!r}")
     return (int(x), int(y))
 
 
 def _degree_coord(v):
     if v == INF:
         return INF
-    if isinstance(v, (int, np.integer)) and v >= 0:
+    if isinstance(v, (int, np.integer)) and 0 <= v <= INT64_MAX:
         return int(v)
-    raise ValueError(f"coordinate must be a nonnegative integer or ∞, got {v!r}")
+    raise ValueError(f"coordinate must be an integer in [0, 2**63 - 1] or ∞, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .bigraded import DEFAULT_FIELD, INF, Presentation, compress, stable_grid, to_grid, validate
+from .bigraded import DEFAULT_FIELD, INF, INT64_MAX, Presentation, classification_box, compress, stable_grid, to_grid, validate
 from .classify import check_implications, classify, report_to_dict, report_to_json
 from .decomposition import decompose_oracle
 from .errors import (
@@ -47,7 +47,6 @@ _REL_LINE = re.compile(r"^rel\s+(?P<name>\S+)\s+(?P<x>\S+)\s+(?P<y>\S+)\s*:(?P<t
 _FIELD_LINE = re.compile(r"^field\s+(?P<p>\S+)\s*$")
 _NAME = re.compile(r"^[A-Za-z_]\w*$")
 _TERM = re.compile(r"^(?P<c>[+-]?[0-9]+)\*(?P<g>[A-Za-z_]\w*)$")
-_INT64_MAX = (1 << 63) - 1
 
 
 def _parse_nat(token, lineno, what):
@@ -55,7 +54,7 @@ def _parse_nat(token, lineno, what):
     if not (token.isascii() and token.isdigit()):
         raise BpmSyntaxError(f"{what} must be a nonnegative integer, got {token!r}", lineno)
     digits = token.lstrip("0") or "0"
-    if len(digits) > 19 or int(digits) > _INT64_MAX:
+    if len(digits) > 19 or int(digits) > INT64_MAX:
         raise BpmSyntaxError(f"{what} {token} does not fit in 64 bits", lineno)
     return int(digits)
 
@@ -67,7 +66,7 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
     terms).
     """
     p = None
-    gen_names: dict[str, int] = {}
+    gen_index: dict[str, int] = {}
     gens = []
     rel_rows = []  # (degree, {gen index: coefficient}, lineno)
 
@@ -91,11 +90,11 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
             name = m.group("name")
             if not _NAME.match(name):
                 raise BpmSyntaxError(f"bad generator name {name!r}", lineno)
-            if name in gen_names:
+            if name in gen_index:
                 raise BpmSyntaxError(f"generator {name!r} already declared", lineno)
             x = _parse_nat(m.group("x"), lineno, "generator degree")
             y = _parse_nat(m.group("y"), lineno, "generator degree")
-            gen_names[name] = len(gens)
+            gen_index[name] = len(gens)
             gens.append((x, y))
             continue
         m = _REL_LINE.match(line)
@@ -118,13 +117,13 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
                             f"bad relation term {chunk!r} (expected c*genname)", lineno, col_here
                         )
                     gname = t.group("g")
-                    if gname not in gen_names:
+                    if gname not in gen_index:
                         raise UnknownGenerator(f"unknown generator {gname!r}", lineno, col_here)
                     try:
                         c = int(t.group("c"))
                     except ValueError:  # beyond Python's int-from-str digit limit
                         raise BpmSyntaxError("coefficient too long", lineno, col_here) from None
-                    gi = gen_names[gname]
+                    gi = gen_index[gname]
                     row[gi] = row.get(gi, 0) + c
             rel_rows.append(((x, y), row, lineno))
             continue
@@ -141,15 +140,13 @@ def parse_module_file(text: str, default_field: int = DEFAULT_FIELD) -> Presenta
     return validate(Presentation(p, gens, rels, Matrix(p, coeffs)))
 
 
-def presentation_to_bpm(pres: Presentation, gen_names=None) -> str:
+def presentation_to_bpm(pres: Presentation) -> str:
     """Render a Presentation in the `.bpm` grammar (round-trips exactly)."""
-    if gen_names is None:
-        gen_names = [f"g{i}" for i in range(pres.n_gens)]
     lines = [f"field {pres.p}"]
-    for name, (x, y) in zip(gen_names, pres.gens):
-        lines.append(f"gen {name} {x} {y}")
+    for i, (x, y) in enumerate(pres.gens):
+        lines.append(f"gen g{i} {x} {y}")
     for j, ((x, y), column) in enumerate(zip(pres.rels, pres.coeffs.a.T.tolist())):
-        terms = [f"{v}*{name}" for name, v in zip(gen_names, column) if v]
+        terms = [f"{v}*g{i}" for i, v in enumerate(column) if v]
         rhs = " + ".join(terms) if terms else "0"
         lines.append(f"rel r{j} {x} {y} : {rhs}")
     return "\n".join(lines) + "\n"
@@ -162,25 +159,22 @@ def ascii_support_plot(pres: Presentation, box=None) -> str:
     dimension: `*` at a birth corner, `!` at a finite death corner.  A box
     override widens the view window; it must still cover all degrees.
     """
-    if box is None:
-        grid, box = stable_grid(pres)
-    else:
-        box = (int(box[0]), int(box[1]))
-        grid = to_grid(pres, box)
+    grid = to_grid(pres, classification_box(pres) if box is None else box)
+    bx, by = grid.box
     cert = classify(pres).certificate
     hooks = () if cert is None else cert.hooks
     births = {h.p for h in hooks}
     deaths = {h.q for h in hooks if not h.is_free}
     rows = []
-    for b in range(box[1], -1, -1):
+    for b in range(by, -1, -1):
         cells = []
-        for a in range(box[0] + 1):
+        for a in range(bx + 1):
             d = grid.dim(a, b)
             ch = "." if d == 0 else (str(d) if d < 10 else "+")
             mark = "*" if (a, b) in births else ("!" if (a, b) in deaths else " ")
             cells.append(f"{ch}{mark}")
         rows.append(f"y={b:<2} " + " ".join(cells))
-    rows.append("     " + " ".join(f"{a:<2}" for a in range(box[0] + 1)))
+    rows.append("     " + " ".join(f"{a:<2}" for a in range(bx + 1)))
     if cert is None:
         rows.append("not hook-decomposable")
     else:
@@ -220,17 +214,12 @@ def _checked_report(pres: Presentation, source: str):
     return report
 
 
-def _classify_source(source: str, default_field: int) -> dict:
-    out = report_to_dict(_checked_report(load_presentation(source, default_field), source))
-    out["input"] = source
-    return out
-
-
 def _corpus_worker(args):
     """(source, exit status, report line or error message) for one input."""
     source, default_field = args
     try:
-        out = _classify_source(source, default_field)
+        out = report_to_dict(_checked_report(load_presentation(source, default_field), source))
+        out["input"] = source
         return source, 0, json.dumps(out, sort_keys=True, separators=(",", ":"))
     except InvariantViolation as exc:
         return source, 1, str(exc)

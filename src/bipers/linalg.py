@@ -210,18 +210,6 @@ def kernel_basis(m: Matrix) -> list:
     return basis
 
 
-def solve(a: Matrix, b) -> np.ndarray | None:
-    """Some solution x of ``a x = b``, or None if the system is inconsistent.
-
-    Free variables are set to zero, so the returned solution is canonical.
-    """
-    b = np.asarray(b, dtype=np.int64)
-    if b.shape != (a.rows,):
-        raise ValueError(f"right-hand side length {b.shape} incompatible with {a.shape}")
-    x = solve_matrix(a, Matrix(a.p, b.reshape(-1, 1)))
-    return None if x is None else x.a[:, 0]
-
-
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
     """Some X with ``a X = b`` (columnwise solve), or None if inconsistent."""
     if a.p != b.p or a.rows != b.rows:

@@ -166,8 +166,15 @@ def _minimal_betti(cpres: Presentation, dims) -> BettiTable:
     β0 and β1 are the generator and relation degrees; β2 is the Möbius
     inversion of `dims` minus β0 plus β1.  Three safety nets raise
     InvariantViolation: β2 < 0 at some point, β2 in the frontier row or
-    column, and a β2 total other than n_rels − rank C, the rank of the
-    kernel of F1 → F0 (so β2 = ∅ exactly when rank C = n_rels).
+    column, and a β2 total other than n_rels − rank C.
+
+    The last one is the pd rule.  The kernel K of F1 → F0 is free
+    (Hilbert's syzygy theorem in two variables), its β2 generators lie in
+    the bounding box, and multiplication by a monomial is injective on it.
+    So K at any degree embeds into K at the join of all degrees, where
+    every generator and relation is present and the map is C itself, and
+    there K has dimension β2 total = n_rels − rank C.  Hence β2 = ∅, that
+    is pd ≤ 1, exactly when rank C = n_rels.
     """
     h = np.asarray(dims, dtype=np.int64)
     beta2 = h.copy()
@@ -253,22 +260,6 @@ def minimal_free_resolution(pres: Presentation) -> Resolution:
     degs = [expand(d, axes) for d in syz.rels]
     order = sorted(range(len(degs)), key=lambda j: (degs[j][0] + degs[j][1], degs[j][0]))
     return Resolution(m.p, m.gens, m.rels, [degs[j] for j in order], m.coeffs, syz.coeffs.take(None, order))
-
-
-def projective_dimension(pres: Presentation) -> int:
-    """0 for free (and zero) modules, 1 when β2 = 0, 2 otherwise.
-
-    One rank call on the minimal presentation C: β2 = 0 exactly when
-    F1 → F0 is injective.  Multiplication by a monomial is injective on a
-    free module and commutes with the map, so the kernel at any degree
-    embeds into the kernel at the join of all degrees, where every
-    generator and relation is present and the map is C itself.  Hence
-    β2 = 0 exactly when rank C = n_rels.
-    """
-    m = minimize(pres)
-    if m.n_rels == 0:
-        return 0
-    return 1 if rank(m.coeffs) == m.n_rels else 2
 
 
 def verify_exactness(res: Resolution) -> bool:

@@ -9,7 +9,7 @@ import pytest
 import bipers.bigraded
 import bipers.decomposition
 import bipers.resolution
-from bipers.bigraded import INF, Hook, Presentation, compress, direct_sum, leq, minimize, stable_grid
+from bipers.bigraded import INF, Bar, Hook, Presentation, compress, direct_sum, leq, minimize, stable_grid
 from bipers.classify import (
     ClassificationReport,
     check_implications,
@@ -54,6 +54,23 @@ def test_classify_zero_module():
     rep = classify(Presentation(2, [], []))
     assert rep.free and rep.hook_decomposable and rep.projective_dimension == 0
     assert rep.certificate is not None and rep.certificate.hooks == ()
+
+
+def test_degrees_are_capped_at_int64():
+    # Grid and legality code evaluate degrees as int64 arrays, so a larger
+    # finite coordinate is refused where it is built, not by numpy later.
+    big = 2**63
+    for build in (
+        lambda: Presentation(2, [(big, 0)], []),
+        lambda: Presentation(2, [(0, 0)], [(0, big)], [[1]]),
+        lambda: Hook((0, 0), (big, 1)),
+        lambda: Bar(0, big),
+    ):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            build()
+    assert classify(Presentation(2, [(big - 1, 0)], [])).box == (big, 1)
+    rep = classify(Presentation(2, [(0, 0)], [(big - 1, 1)], [[1]]))
+    assert [(h.p, h.q) for h in rep.certificate.hooks] == [((0, 0), (big - 1, 1))]
 
 
 def test_certificate_verifies_for_remark1():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipers.errors import NonPrimeModulus
-from bipers.linalg import Echelon, Matrix, kernel_basis, rank, rref, solve
+from bipers.linalg import Echelon, Matrix, kernel_basis, rank, rref, solve_matrix
 
 
 def all_vectors(p, n):
@@ -85,24 +85,29 @@ def test_kernel_single_row():
     assert basis[0].tolist() == [1, 1]
 
 
+def column(p, values):
+    """A one-column right-hand side for `solve_matrix`."""
+    return Matrix(p, np.reshape(values, (-1, 1)))
+
+
 def test_solve_identity():
-    x = solve(Matrix.identity(3, 2), [2, 1])
-    assert x.tolist() == [2, 1]
+    x = solve_matrix(Matrix.identity(3, 2), column(3, [2, 1]))
+    assert x.a.tolist() == [[2], [1]]
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.zeros(2, 2, 2), [1, 0]) is None
+    assert solve_matrix(Matrix.zeros(2, 2, 2), column(2, [1, 0])) is None
 
 
 def test_solve_underdetermined():
     # Exhaustive check: solutions of [1 1] x = 0 are (0,0) and (1,1).
-    x = solve(Matrix(2, [[1, 1]]), [0])
-    assert x is not None and x.tolist() in ([0, 0], [1, 1])
+    x = solve_matrix(Matrix(2, [[1, 1]]), column(2, [0]))
+    assert x is not None and x.a[:, 0].tolist() in ([0, 0], [1, 1])
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Matrix.identity(2, 2), [1, 0, 0])
+        solve_matrix(Matrix.identity(2, 2), column(2, [1, 0, 0]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,7 +143,7 @@ def test_kernel_is_exhaustive(m):
 
 
 def test_solve_consistency_matches_rank_criterion():
-    # Brute force over seeded random systems up to 4x4 over F_2: solve
+    # Brute force over seeded random systems up to 4x4 over F_2: solve_matrix
     # succeeds exactly when rank(a) == rank(a|b), and solutions verify.
     rng = np.random.default_rng(20240811)
     for _ in range(300):
@@ -146,7 +151,8 @@ def test_solve_consistency_matches_rank_criterion():
         c = int(rng.integers(0, 5))
         a = Matrix(2, rng.integers(0, 2, size=(r, c)))
         b = rng.integers(0, 2, size=r)
-        x = solve(a, b)
+        x = solve_matrix(a, column(2, b))
+        x = None if x is None else x.a[:, 0]
         aug = Matrix(2, np.hstack([a.a, b.reshape(-1, 1)]))
         if x is None:
             assert rank(a) < rank(aug)

@@ -15,6 +15,7 @@ from bipers.bigraded import (
     stable_grid,
     to_grid,
 )
+from bipers.classify import classify
 from bipers.errors import InvariantViolation
 from bipers.generators import RandomSpec, free_module, gallery, hook_module, random_module
 from bipers.linalg import Matrix
@@ -26,7 +27,6 @@ from bipers.resolution import (
     grid_betti,
     hilbert_from_betti,
     minimal_free_resolution,
-    projective_dimension,
     syzygy_presentation,
     verify_exactness,
 )
@@ -245,28 +245,21 @@ def test_compressed_syzygies_match_the_full_box(p):
 
 
 def test_pd_of_free_module():
-    assert projective_dimension(free_module([(1, 1)])) == 0
-    assert projective_dimension(Presentation(2, [], [])) == 0
-
-
-def test_pd_of_remark2():
-    assert projective_dimension(gallery("pd1-not-hook")) == 1
-
-
-def test_pd_of_koszul_point():
-    assert projective_dimension(gallery("koszul-point")) == 2
+    assert classify(free_module([(1, 1)])).projective_dimension == 0
+    assert classify(Presentation(2, [], [])).projective_dimension == 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_pd_rank_rule_matches_the_syzygy_route(p):
-    # One rank call on the minimal presentation against the level-2
-    # generators of the explicit resolution.
+    # classify's pd (β2 by Möbius inversion, its total asserted equal to
+    # n_rels − rank C) against the level-2 generators of the explicit
+    # resolution.
     seen = set()
     for seed in range(150):
         pres = random_module(RandomSpec("arbitrary", max_gens=3, max_rels=6, max_degree=3, seed=2600 + seed), p=p)
         res = minimal_free_resolution(pres)
         expected = 0 if not res.gens1 else (2 if res.gens2 != () else 1)
-        assert projective_dimension(pres) == expected, seed
+        assert classify(pres).projective_dimension == expected, seed
         seen.add(expected)
     assert seen == {0, 1, 2}
 
