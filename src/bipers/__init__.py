@@ -15,6 +15,7 @@ from .bigraded import (
     classification_box,
     direct_sum,
     hilbert_function,
+    hilbert_grid,
     minimize,
     stable_grid,
     to_grid,
@@ -26,7 +27,6 @@ from .classify import (
     classify,
     report_to_dict,
     report_to_json,
-    verify_certificate,
 )
 from .decomposition import (
     HookCertificate,
@@ -34,6 +34,7 @@ from .decomposition import (
     hom_basis,
     hook_profile,
     peel_hooks,
+    verify_certificate,
 )
 from .errors import (
     BipersError,

@@ -221,20 +221,26 @@ def _born_by(degrees, d) -> list:
     return [i for i, g in enumerate(degrees) if leq(g, d)]
 
 
-def hilbert_function(pres: Presentation, degree) -> int:
-    """Dimension of the module at one finite bidegree.
+def _dims_at(pres: Presentation, points) -> np.ndarray:
+    """dim M(d) = |G_d| − rank C[:, R_d] at each point d, one rank per point:
+    by legality, relations born by d vanish off the generators born by d."""
+    born = legal_mask(pres.rels, points)
+    c = pres.coeffs.a
+    ranks = [rank(Matrix(pres.p, c[:, col])) if col.any() else 0 for col in born.T]
+    return legal_mask(pres.gens, points).sum(axis=0) - np.asarray(ranks, dtype=np.int64)
 
-    Computed directly as (#generators born) − rank(relations evaluated),
-    independently of the grid machinery.
-    """
-    validate(pres)
-    gi = _born_by(pres.gens, degree)
-    rj = _born_by(pres.rels, degree)
-    if not gi:
-        return 0
-    if not rj:
-        return len(gi)
-    return len(gi) - rank(pres.coeffs.take(gi, rj))
+
+def hilbert_function(pres: Presentation, degree) -> int:
+    """Dimension of the module at one finite bidegree, without a grid."""
+    return int(_dims_at(validate(pres), [degree])[0])
+
+
+def hilbert_grid(pres: Presentation) -> np.ndarray:
+    """dim M(d) at every point d of `classification_box(pres)`, indexed
+    ``[a, b]`` like `GridModule.dims`, without bases or maps."""
+    bx, by = classification_box(pres)
+    points = np.indices((bx + 1, by + 1)).reshape(2, -1).T
+    return _dims_at(validate(pres), points).reshape(bx + 1, by + 1)
 
 
 def minimize(pres: Presentation) -> Presentation:

@@ -18,9 +18,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .bigraded import INF, Hook, Presentation, classification_box, compress, expand, grid_coordinates, legal_mask, minimize, stable_grid
-from .decomposition import HookCertificate, _propagate, peel_hooks
-from .linalg import Matrix, rank
+from .bigraded import INF, Hook, Presentation, classification_box, compress, hilbert_grid, minimize
+from .decomposition import HookCertificate, peel_hooks, verify_certificate  # noqa: F401 (re-exported)
 from .resolution import BettiTable, _minimal_betti
 
 
@@ -41,14 +40,15 @@ class ClassificationReport:
 def classify(pres: Presentation) -> ClassificationReport:
     """Full classification with certificate; deterministic up to timings.
 
-    One pass over the module: minimize once, `compress` it, evaluate the
-    stable grid once, take β0/β1 from the minimal degrees and β2 (hence
-    pd) by Möbius inversion of the grid's dimensions (`_minimal_betti`),
-    and, unless pd = 2, let `peel_hooks` count hooks and check its
-    certificate's Smith form on the compressed minimal presentation.
-    Betti degrees and hook corners are mapped back by `expand`; `box` is
-    the input's classification box.  `betti_table` is the independent
-    Koszul check on this table.
+    One pass over the module: minimize once, `compress` it, take its
+    Hilbert function from one rank per point (`hilbert_grid`; no grid,
+    bases or maps), β0/β1 from the minimal degrees and β2 (hence pd) by
+    Möbius inversion (`_minimal_betti`), and, unless pd = 2, let
+    `peel_hooks` count hooks and check its certificate's Smith form on the
+    compressed minimal presentation.  Betti degrees and hook corners are
+    mapped back by `expand`; `box` is the input's classification box.  The
+    grid routes `betti_table` (the Koszul check on this table) and
+    `verify_certificate` keep `stable_grid`'s frontier check.
     """
     timings = {}
     t0 = t = time.perf_counter()
@@ -57,8 +57,7 @@ def classify(pres: Presentation) -> ClassificationReport:
 
     t = time.perf_counter()
     cpres, axes = compress(mpres)
-    grid, _ = stable_grid(cpres)
-    bt = _minimal_betti(cpres, grid.dims)
+    bt = _minimal_betti(cpres, hilbert_grid(cpres))
     timings["betti"] = time.perf_counter() - t
 
     free = mpres.n_rels == 0
@@ -94,40 +93,6 @@ def check_implications(report: ClassificationReport) -> bool:
         return False
     if report.free != (report.projective_dimension == 0):
         return False
-    return True
-
-
-def verify_certificate(pres: Presentation, cert: HookCertificate) -> bool:
-    """Check a certificate against a presentation from scratch, on the grid.
-
-    Independent of the Smith check in `peel_hooks`: rebuilds the stable grid
-    of the compressed minimal presentation, maps the hook corners onto its
-    axes (False if one is off them), checks that the basis is legal with one
-    row per generator and one column per hook, and propagates each column
-    from its hook's birth.  They define an isomorphism from the hook sum
-    exactly when each image vanishes at its hook's death and, at every grid
-    point, the images of the hooks supported there form a basis.
-    """
-    cpres, axes = compress(minimize(pres))
-    grid, box = stable_grid(cpres)
-    local = {expand((a, b), axes): (a, b) for a in range(len(axes[0])) for b in range(len(axes[1]))}
-    local[(INF, INF)] = (INF, INF)
-    if any(h.p not in local or h.q not in local for h in cert.hooks):
-        return False
-    hooks = [Hook(local[h.p], local[h.q]) for h in cert.hooks]
-    basis, p = cert.basis, pres.p
-    if basis.p != p or basis.shape != (cpres.n_gens, len(hooks)):
-        return False
-    if basis.a[~legal_mask(cpres.gens, [h.p for h in hooks])].any():
-        return False  # `grid_coordinates` would drop the entry
-    images = [_propagate(grid, h.p, grid_coordinates(cpres, h.p, v)) for h, v in zip(hooks, basis.a.T)]
-    if any(not h.is_free and w[h.q].any() for h, w in zip(hooks, images)):
-        return False
-    for a in range(box[0] + 1):
-        for b in range(box[1] + 1):
-            rows = [w[(a, b)] for h, w in zip(hooks, images) if h.supports((a, b))]
-            if len(rows) != grid.dim(a, b) or rank(Matrix(p, rows)) != len(rows):
-                return False
     return True
 
 

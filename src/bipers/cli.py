@@ -18,7 +18,6 @@ run reports it per input and goes on); 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import re
@@ -307,6 +306,7 @@ def run_command(args, out=None) -> int:
         field = _default_field(args)
         work = [(src, field) for src in args.inputs]
         if args.jobs > 1:
+            import concurrent.futures  # only here: it also loads `logging`
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_corpus_worker, work))
         else:

@@ -5,8 +5,8 @@ read off a minimal presentation and checks its certificate by its Smith
 form on that same presentation (`classify` is the one pipeline that
 minimizes, compresses and calls it), and the independent grid routes: hook
 recognition from support shape, hom spaces as natural-transformation
-kernels, and a deliberately brute-force cross-validation oracle that splits
-along idempotent endomorphisms found by exhaustive enumeration.  A morphism
+kernels, `verify_certificate`, and a brute-force cross-validation oracle
+that splits along idempotents found by exhaustive enumeration.  A morphism
 of grid modules is a plain dict {grid point: component Matrix} over every
 point of the box.
 """
@@ -25,9 +25,13 @@ from .bigraded import (
     Hook,
     Presentation,
     _born_by,
+    compress,
     expand,
+    grid_coordinates,
     leq,
     legal_mask,
+    minimize,
+    stable_grid,
 )
 from .errors import InvariantViolation, ThresholdExceeded
 from .linalg import (
@@ -291,6 +295,40 @@ def peel_hooks(pres: Presentation):
     cert = HookCertificate(tuple(h for h, _ in peeled), Matrix(pres.p, basis))
     _check_smith_form(pres, cert)
     return cert
+
+
+def verify_certificate(pres: Presentation, cert: HookCertificate) -> bool:
+    """Check a certificate against a presentation from scratch, on the grid.
+
+    Independent of the Smith check in `peel_hooks`: rebuilds the stable grid
+    of the compressed minimal presentation, maps the hook corners onto its
+    axes (False if one is off them), checks that the basis is legal with one
+    row per generator and one column per hook, and propagates each column
+    from its hook's birth.  They define an isomorphism from the hook sum
+    exactly when each image vanishes at its hook's death and, at every grid
+    point, the images of the hooks supported there form a basis.
+    """
+    cpres, axes = compress(minimize(pres))
+    grid, box = stable_grid(cpres)
+    local = {expand((a, b), axes): (a, b) for a in range(len(axes[0])) for b in range(len(axes[1]))}
+    local[(INF, INF)] = (INF, INF)
+    if any(h.p not in local or h.q not in local for h in cert.hooks):
+        return False
+    hooks = [Hook(local[h.p], local[h.q]) for h in cert.hooks]
+    basis, p = cert.basis, pres.p
+    if basis.p != p or basis.shape != (cpres.n_gens, len(hooks)):
+        return False
+    if basis.a[~legal_mask(cpres.gens, [h.p for h in hooks])].any():
+        return False  # `grid_coordinates` would drop the entry
+    images = [_propagate(grid, h.p, grid_coordinates(cpres, h.p, v)) for h, v in zip(hooks, basis.a.T)]
+    if any(not h.is_free and w[h.q].any() for h, w in zip(hooks, images)):
+        return False
+    for a in range(box[0] + 1):
+        for b in range(box[1] + 1):
+            rows = [w[(a, b)] for h, w in zip(hooks, images) if h.supports((a, b))]
+            if len(rows) != grid.dim(a, b) or rank(Matrix(p, rows)) != len(rows):
+                return False
+    return True
 
 
 def _image_subgrid(M: GridModule, e: dict):

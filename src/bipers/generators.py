@@ -70,9 +70,14 @@ class SplitMix64:
         self.state = (self.state + k * _GAMMA) & _MASK64
 
     def shuffle(self, items: list) -> list:
+        s = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            s = (s + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = s
         return items
 
 

@@ -9,7 +9,7 @@ import pytest
 import bipers.bigraded
 import bipers.decomposition
 import bipers.resolution
-from bipers.bigraded import INF, Bar, Hook, Presentation, compress, direct_sum, leq, minimize, stable_grid
+from bipers.bigraded import INF, Bar, Hook, Presentation, compress, direct_sum, hilbert_grid, leq, minimize, stable_grid
 from bipers.classify import (
     ClassificationReport,
     check_implications,
@@ -20,7 +20,7 @@ from bipers.classify import (
 )
 from bipers.decomposition import _check_smith_form, peel_hooks
 from bipers.errors import InvariantViolation
-from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, hook_module, random_module
+from bipers.generators import RandomSpec, SplitMix64, _scramble, free_module, gallery, gallery_names, hook_module, random_module
 from bipers.linalg import Matrix
 from bipers.resolution import BettiTable, betti_table, grid_betti
 
@@ -118,6 +118,7 @@ PADDED_STAIRCASE = Presentation(
 def test_classify_runs_one_pass(pres, pd, monkeypatch):
     originals = {
         "minimize": bipers.bigraded.minimize,
+        "hilbert_grid": bipers.bigraded.hilbert_grid,
         "stable_grid": bipers.bigraded.stable_grid,
         "to_grid": bipers.bigraded.to_grid,
         "syzygy_presentation": bipers.resolution.syzygy_presentation,
@@ -143,8 +144,8 @@ def test_classify_runs_one_pass(pres, pd, monkeypatch):
     report = classify(pres)
     assert report.projective_dimension == pd
     assert report.hook_decomposable == (pd == 1)
-    assert calls == Counter(minimize=1, stable_grid=1, to_grid=1)
-    assert calls["grid_betti"] == 0  # β2 comes from the grid's dimensions
+    assert calls == Counter(minimize=1, hilbert_grid=1)
+    assert calls["stable_grid"] == calls["to_grid"] == calls["grid_betti"] == 0  # no grid is built
 
 
 def test_padded_staircase_betti_table():
@@ -307,6 +308,24 @@ def test_classify_betti_matches_the_koszul_route():
         assert rep.betti == betti_table(pres), k
         pds[rep.projective_dimension] += 1
     assert len(modules) >= 200 and pds[2] >= 20, pds
+
+
+def test_hilbert_grid_matches_the_stable_grid():
+    # One rank per point against the bases of `to_grid`, on unminimized
+    # inputs too, zero and free modules included.
+    modules = []
+    for p in (2, 3, 65521):
+        modules += [Presentation(p, g.gens, g.rels, g.coeffs.a) for g in map(gallery, gallery_names())]
+        modules += [random_module(RandomSpec("arbitrary", max_gens=4, max_rels=5, seed=9100 + s), p=p) for s in range(80)]
+        modules += [random_module(RandomSpec("free", seed=9200 + s), p=p) for s in range(10)]
+        modules += [random_module(RandomSpec("hook_sum_scrambled", max_hooks=6, seed=9300 + s), p=p) for s in range(50)]
+        rng = SplitMix64(9400 + p)
+        modules += [_staircase(p, rng, 2 + rng.below(3)) for _ in range(25)]
+    t0 = time.perf_counter()
+    for k, pres in enumerate(modules):
+        assert (hilbert_grid(pres) == stable_grid(pres)[0].dims).all(), k
+    assert len(modules) >= 500 and time.perf_counter() - t0 < 2.0
+    assert any(m.n_gens == 0 for m in modules) and any(m.n_gens and not m.n_rels for m in modules)
 
 
 def test_certificate_with_a_corner_off_the_axes_is_rejected():
